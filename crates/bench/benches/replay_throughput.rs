@@ -8,10 +8,12 @@
 //!   engine are built **once**; each iteration restores the post-boot
 //!   snapshot in place (`Snapshot::restore_into`) and replays the trace.
 //!   This measures replay, not allocation.
-//! * `rebuild/…` — the historical baseline that rebuilt the whole stack
-//!   (`Hypervisor::new()` + domain + boot fast-forward + engine) inside
-//!   `b.iter()`. Kept so the speedup of the snapshot path stays
-//!   measurable; PERFORMANCE.md records the ratio.
+//! * `rebuild/…` — builds the whole stack (`Hypervisor::new()` +
+//!   domain + boot fast-forward + engine) inside `b.iter()`. With RAM
+//!   mapped as EPT extents a build costs microseconds, so this arm now
+//!   prices a freshly built stack against the in-place restore rather
+//!   than the old multi-millisecond reboot; PERFORMANCE.md records the
+//!   ratio.
 //! * `direct/…` vs `target/…` — the same restore+submit loop driven
 //!   through the raw `ReplayEngine` and through the `FuzzTarget` trait
 //!   respectively. The drivers are generic over the factory (static

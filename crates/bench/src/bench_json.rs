@@ -31,6 +31,9 @@ pub struct BenchRecord {
     /// Guided generation size, for arms parameterized by `gen`
     /// (the `guided_scaling` bench's sync-point axis).
     pub generation: Option<usize>,
+    /// CPUs the measuring host offered (`available_parallelism`), so a
+    /// jobs axis can be read against the hardware it ran on.
+    pub host_cpus: usize,
 }
 
 impl BenchRecord {
@@ -60,6 +63,7 @@ impl BenchRecord {
             jobs: label_segment(&m.label, "jobs"),
             chunk: label_segment(&m.label, "chunk"),
             generation: label_segment(&m.label, "gen"),
+            host_cpus: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         }
     }
 }
@@ -138,6 +142,7 @@ mod tests {
             r.seeds_per_sec
         );
         assert!((r.ns_per_exit - 2000.0).abs() < 1e-9);
+        assert!(r.host_cpus >= 1);
     }
 
     #[test]
@@ -180,6 +185,7 @@ mod tests {
         let text = std::fs::read_to_string(&p).unwrap();
         assert!(text.contains("\"arm\""), "{text}");
         assert!(text.contains("g/jobs/1"), "{text}");
+        assert!(text.contains("\"host_cpus\""), "{text}");
         std::fs::remove_file(&p).ok();
     }
 }

@@ -45,8 +45,9 @@ impl Snapshot {
     /// [`iris_hv::mm::GuestMemory::restore_from`] paths, and the EPT,
     /// I/O bus, IRQ, and platform-timer blocks are equality-walked here
     /// and skipped when unchanged (the walks are allocation-free and
-    /// far cheaper than rebuilding — the EPT alone holds thousands of
-    /// entries; replay rarely touches them). The cost is therefore
+    /// far cheaper than rebuilding — the EPT compares its RAM extents
+    /// and its few overridden entries, not every page; replay rarely
+    /// touches any of them). The cost is therefore
     /// proportional to the state that actually diverged since the
     /// snapshot, not to a full `Hypervisor::new()` + boot replay — and
     /// clean components never dirty cache lines, which is also what
@@ -61,8 +62,8 @@ impl Snapshot {
         slot.vcpus.clone_from(&self.domain.vcpus);
         slot.memory.restore_from(&self.domain.memory);
         // Equality walks are allocation-free and much cheaper than
-        // rebuilding these (the EPT alone holds thousands of entries);
-        // replay rarely touches them, so the common restore skips them.
+        // rebuilding these; replay rarely touches them, so the common
+        // restore skips them.
         if slot.ept != self.domain.ept {
             slot.ept.clone_from(&self.domain.ept);
         }

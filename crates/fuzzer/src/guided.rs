@@ -31,7 +31,7 @@
 //!   steals on it. Each slot **positions at its mutation base's
 //!   state** — `s1` plus the base's seed path ([`corpus_paths`]) — so
 //!   mutation resumes from where the promoted base left off instead of
-//!   rebooting to `s1`; with a snapshot forest
+//!   restarting from `s1`; with a snapshot forest
 //!   ([`crate::target::TargetFactory::forest`]) that positioning is an
 //!   O(delta) restore of the base's pinned node, without one it is a
 //!   root reset plus path replay — **state-identical by the forest
@@ -231,8 +231,8 @@ pub fn run_guided_with<F: TargetFactory>(
     }
 
     // One long-lived target: `s1` is the post-boot snapshot, so crash
-    // recovery ([`FuzzTarget::reset`]) restores it in place; only a
-    // SUT-fatal crash rebuilds the stack from scratch.
+    // recovery ([`FuzzTarget::reset`]) restores it in place, SUT-fatal
+    // crashes included.
     let mut target = factory.build(BootPlan::post_boot(trace));
     target.boot();
 

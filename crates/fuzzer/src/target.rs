@@ -11,8 +11,9 @@
 //!   dummy VM's boot, replay the seed prefix, snapshot `s1`);
 //! * [`FuzzTarget::submit`] — submit one VM seed and report what happened
 //!   (coverage touched, crash verdict, cycle cost);
-//! * [`FuzzTarget::reset`] — restore `s1` (snapshot restore in O(dirty
-//!   state); a full reboot only if the SUT itself died).
+//! * [`FuzzTarget::reset`] — restore `s1` in O(dirty state), whether
+//!   the previous submission left the SUT clean, crashed the VM, or
+//!   killed the hypervisor.
 //!
 //! A [`TargetFactory`] builds private target instances, one per worker
 //! and test case, which is what lets [`crate::parallel::ParallelCampaign`]
@@ -45,7 +46,7 @@ use iris_guest::runner::fast_forward_boot;
 use iris_guest::workloads::Workload;
 use iris_hv::coverage::CoverageMap;
 use iris_hv::faults::{FaultInjection, PlantedFault};
-use iris_hv::hypervisor::Hypervisor;
+use iris_hv::hypervisor::{HvGlobals, Hypervisor};
 use iris_hv::log::Level;
 
 /// How a target reaches the fuzzing start state `s1`: which recorded
@@ -130,8 +131,8 @@ pub struct SubmitOutcome {
 ///   state touches the same blocks.
 pub trait FuzzTarget {
     /// Bring the SUT up and reach `s1` per the boot plan. Calling it
-    /// again performs a full rebuild (the hypervisor-crash recovery
-    /// path).
+    /// again builds a fresh stack; crash recovery never needs to (see
+    /// [`FuzzTarget::reset`]).
     fn boot(&mut self);
 
     /// Submit one VM seed through the replay interposition surface.
@@ -140,8 +141,9 @@ pub trait FuzzTarget {
     /// Panics if the target was never booted.
     fn submit(&mut self, seed: &VmSeed) -> SubmitOutcome;
 
-    /// Restore `s1`: a snapshot restore when the SUT survives, a full
-    /// reboot when the previous submission was SUT-fatal.
+    /// Restore `s1` — a restore, not a reboot, even after a SUT-fatal
+    /// submission: the state is indistinguishable from a fresh
+    /// [`FuzzTarget::boot`].
     ///
     /// # Panics
     /// Panics if the target was never booted.
@@ -164,7 +166,7 @@ pub trait FuzzTarget {
     /// leaving the target untouched — when the target has no forest or
     /// the node was evicted; the caller then re-derives the state via
     /// [`FuzzTarget::reset`] + seed replay (slower, never wrong). A
-    /// SUT-fatal crash is recovered with a full reboot first, like
+    /// SUT-fatal crash is recovered by the same restore, like
     /// [`FuzzTarget::reset`]. This seam is what lets a future
     /// `RemoteTarget` adopt the forest protocol without new driver
     /// code.
@@ -213,14 +215,21 @@ enum ResetState {
 
 struct HvStack {
     hv: Hypervisor,
+    /// Built once per boot: its per-seed hook state resets in every
+    /// submission, and rebuilding it would re-arm the preemption timer.
     engine: ReplayEngine,
+    /// The hypervisor globals at `s1`, restored before the domain on
+    /// every reset.
+    globals: HvGlobals,
     reset: ResetState,
 }
 
 /// A fuzz target over the in-tree hypervisor model: a dummy VM driven by
-/// the [`ReplayEngine`], with `s1` captured as a [`Snapshot`] for O(dirty
-/// state) resets. Both in-tree factories build this type; they differ
-/// only in the [`FaultInjection`] configuration baked into the build.
+/// the [`ReplayEngine`], with `s1` captured as hypervisor globals plus a
+/// [`Snapshot`] (or forest root) for O(dirty state) resets — crash
+/// recovery included. Both in-tree factories build this type; they
+/// differ only in the [`FaultInjection`] configuration baked into the
+/// build.
 pub struct HvTarget<'t> {
     plan: BootPlan<'t>,
     ram_bytes: u64,
@@ -242,19 +251,17 @@ impl std::fmt::Debug for HvTarget<'_> {
     }
 }
 
+impl HvTarget<'_> {
+    /// The live hypervisor, for inspection (`None` before
+    /// [`FuzzTarget::boot`]).
+    #[must_use]
+    pub fn hypervisor(&self) -> Option<&Hypervisor> {
+        self.state.as_ref().map(|st| &st.hv)
+    }
+}
+
 impl FuzzTarget for HvTarget<'_> {
     fn boot(&mut self) {
-        // A reboot in forest mode salvages the forest: boot is
-        // deterministic, so the freshly built stack *is* the root state
-        // and every pinned node stays restorable (the determinism law —
-        // a node is a pure function of `(trace, prefix, seed path)`).
-        let prior_forest = match self.state.take() {
-            Some(HvStack {
-                reset: ResetState::Forest(forest),
-                ..
-            }) => Some(forest),
-            _ => None,
-        };
         let mut hv = Hypervisor::new();
         hv.faults = self.faults;
         // Campaign drivers only consume Err/Crit console lines (the
@@ -274,28 +281,27 @@ impl FuzzTarget for HvTarget<'_> {
                 out.exit.crash
             );
         }
-        let reset = match (self.forest_cfg, prior_forest) {
-            (Some(_), Some(mut forest)) => {
-                forest.rebooted();
+        let globals = hv.capture_globals();
+        let reset = match self
+            .forest_cfg
+            .and_then(|cfg| SnapshotForest::new(&hv, dummy, cfg))
+        {
+            Some(forest) => {
+                // Tracking starts *after* the root capture so the dirty
+                // set measures divergence from `s1`.
                 hv.domains[dummy as usize]
                     .memory
                     .set_page_dirty_tracking(true);
                 ResetState::Forest(forest)
             }
-            (Some(cfg), None) => match SnapshotForest::new(&hv, dummy, cfg) {
-                Some(forest) => {
-                    // Tracking starts *after* the root capture so the
-                    // dirty set measures divergence from `s1`.
-                    hv.domains[dummy as usize]
-                        .memory
-                        .set_page_dirty_tracking(true);
-                    ResetState::Forest(forest)
-                }
-                None => ResetState::Snapshot(Snapshot::take(&hv, dummy)),
-            },
-            (None, _) => ResetState::Snapshot(Snapshot::take(&hv, dummy)),
+            None => ResetState::Snapshot(Snapshot::take(&hv, dummy)),
         };
-        self.state = Some(HvStack { hv, engine, reset });
+        self.state = Some(HvStack {
+            hv,
+            engine,
+            globals,
+            reset,
+        });
     }
 
     // Inlined so the per-submission `SubmitOutcome` move (the coverage
@@ -325,20 +331,16 @@ impl FuzzTarget for HvTarget<'_> {
 
     fn reset(&mut self) {
         let st = self.state.as_mut().expect("boot() the target first");
-        if st.hv.is_alive() {
-            // A domain crash (or a clean state) restores from the
-            // snapshot in O(dirty state) — or, in forest mode, walks
-            // back to the root in O(delta).
-            match &mut st.reset {
-                ResetState::Snapshot(s1) => s1.restore_into(&mut st.hv, st.engine.domain),
-                ResetState::Forest(forest) => {
-                    let ok = forest.restore_to(&mut st.hv, st.engine.domain, StateId::ROOT);
-                    debug_assert!(ok, "the forest root is never evicted");
-                }
+        // The globals first (this also undoes a hypervisor crash), then
+        // the dummy domain from the snapshot in O(dirty state) — or, in
+        // forest mode, back to the root in O(delta).
+        st.hv.restore_globals(&st.globals);
+        match &mut st.reset {
+            ResetState::Snapshot(s1) => s1.restore_into(&mut st.hv, st.engine.domain),
+            ResetState::Forest(forest) => {
+                let ok = forest.restore_to(&mut st.hv, st.engine.domain, StateId::ROOT);
+                debug_assert!(ok, "the forest root is never evicted");
             }
-        } else {
-            // A hypervisor crash killed the whole stack; rebuild it.
-            self.boot();
         }
     }
 
@@ -359,15 +361,12 @@ impl FuzzTarget for HvTarget<'_> {
             return false;
         }
         let st = self.state.as_mut().expect("boot() the target first");
-        if !st.hv.is_alive() {
-            // SUT-fatal crash: rebuild the stack (which salvages the
-            // forest), then restore the pinned node from the root.
-            self.boot();
-        }
-        let st = self.state.as_mut().expect("boot() the target first");
         match &mut st.reset {
-            ResetState::Snapshot(_) => false,
-            ResetState::Forest(forest) => forest.restore_to(&mut st.hv, st.engine.domain, id),
+            ResetState::Forest(forest) if forest.contains(id) => {
+                st.hv.restore_globals(&st.globals);
+                forest.restore_to(&mut st.hv, st.engine.domain, id)
+            }
+            _ => false,
         }
     }
 }
@@ -774,7 +773,7 @@ mod tests {
         let _ = target.submit(&fatal);
         assert!(
             target.reset_to(pinned),
-            "reboot salvages the forest and the pin survives"
+            "crash recovery keeps the forest and the pin survives"
         );
         let again = target.submit(&trace.seeds[1]);
         assert_eq!(expected.coverage, again.coverage);

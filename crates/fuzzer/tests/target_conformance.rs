@@ -17,8 +17,8 @@ use iris_fuzzer::guided::{
 use iris_fuzzer::mutation::SeedArea;
 use iris_fuzzer::parallel::ParallelCampaign;
 use iris_fuzzer::target::{
-    record_trace, Backend, BootPlan, ConfiguredBackend, FaultyHvTarget, FuzzTarget, IrisHvTarget,
-    TargetFactory,
+    record_trace, Backend, BootPlan, ConfiguredBackend, FaultyHvTarget, FuzzTarget, HvTarget,
+    IrisHvTarget, TargetFactory,
 };
 use iris_fuzzer::testcase::TestCase;
 use iris_guest::workloads::Workload;
@@ -150,11 +150,11 @@ fn reset_rebuilds_after_a_sut_fatal_crash() {
             Some(iris_fuzzer::failure::FailureKind::HypervisorCrash),
             "{backend:?}: unhandled exit reason must be SUT-fatal"
         );
-        target.reset(); // full reboot path
+        target.reset(); // restores the hypervisor globals too
         let again = target.submit(&trace.seeds[idx]);
         assert_eq!(
             baseline.coverage, again.coverage,
-            "{backend:?}: reboot did not reproduce s1"
+            "{backend:?}: crash recovery did not reproduce s1"
         );
         assert!(again.crash.is_none());
     });
@@ -714,6 +714,260 @@ proptest! {
                  uninterrupted jobs=1 reference"
             );
         });
+    }
+}
+
+/// One step of the reboot≡restore walk.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Submit recorded seed `k`.
+    Recorded(usize),
+    /// Submit a VM-fatal mutant (guest RIP in the canonical hole).
+    VmFatal,
+    /// Submit the GETSEC reason flip: hypervisor-fatal on every backend.
+    GetsecFlip,
+    /// Submit a CPUID seed querying a reserved leaf: the `faulty`
+    /// backend's planted `BUG_ON`.
+    PlantedCpuid,
+    /// Submit a CR access with qualification bits 63:32 set: the
+    /// `faulty` backend's planted host #PF.
+    PlantedCr,
+    /// Pin the current state.
+    Pin,
+    /// Recover with `reset`.
+    Reset,
+    /// Recover with `reset_to` on pin `i` (mod the pin count).
+    ResetTo(usize),
+}
+
+impl Step {
+    fn decode(op: u8, arg: u8) -> Step {
+        match op % 8 {
+            0 | 1 => Step::Recorded(usize::from(arg)),
+            2 => Step::VmFatal,
+            3 => Step::GetsecFlip,
+            4 => Step::PlantedCpuid,
+            5 => Step::PlantedCr,
+            6 => Step::Pin,
+            _ => Step::recovery(arg),
+        }
+    }
+
+    /// `reset` or `reset_to`, by the argument's low bit.
+    fn recovery(arg: u8) -> Step {
+        if arg.is_multiple_of(2) {
+            Step::Reset
+        } else {
+            Step::ResetTo(usize::from(arg))
+        }
+    }
+}
+
+/// The mutant a fatal [`Step`] submits, built from recorded seeds so
+/// only the planted field differs.
+fn fatal_mutant(trace: &RecordedTrace, step: Step) -> Option<iris_core::seed::VmSeed> {
+    match step {
+        Step::VmFatal => {
+            let mut m = trace.seeds[find_seed(trace, ExitReason::CrAccess)].clone();
+            for pair in &mut m.reads {
+                if pair.0 == VmcsField::GuestRip {
+                    pair.1 ^= 1u64 << 62;
+                }
+            }
+            Some(m)
+        }
+        Step::GetsecFlip => Some(hv_fatal_mutant(
+            trace,
+            find_seed(trace, ExitReason::CrAccess),
+        )),
+        Step::PlantedCpuid => {
+            let mut m = trace.seeds[find_seed(trace, ExitReason::Cpuid)].clone();
+            m.gprs.set32(
+                iris_vtx::gpr::Gpr::Rax,
+                iris_hv::faults::FAULT_LEAF_RANGE.start,
+            );
+            Some(m)
+        }
+        Step::PlantedCr => {
+            let mut m = trace.seeds[find_seed(trace, ExitReason::CrAccess)].clone();
+            for pair in &mut m.reads {
+                if pair.0 == VmcsField::ExitQualification {
+                    pair.1 |= 1u64 << 40;
+                }
+            }
+            Some(m)
+        }
+        _ => None,
+    }
+}
+
+/// What the reboot≡restore walk compares of the hypervisor globals:
+/// clock, console, cumulative coverage, crash state, IRIS toggles.
+fn globals(target: &HvTarget<'_>) -> String {
+    let hv = target.hypervisor().expect("booted");
+    let console: Vec<&str> = hv.log.lines().map(|l| l.message.as_str()).collect();
+    format!(
+        "tsc={} console={console:?} coverage={} crashed={:?} ctl={:?}",
+        hv.tsc.now(),
+        hv.coverage.lines(),
+        hv.crashed,
+        hv.fuzzing_ctl
+    )
+}
+
+/// After a recovery: the target must be indistinguishable from a fresh
+/// `build()` + `boot()` replayed along `path`. Right after a `reset`
+/// that includes the hypervisor globals; after a `reset_to` the globals
+/// are `s1`'s by design, so only the submissions are compared. The
+/// probes advance both sides; returns whether the target is still clean
+/// afterwards.
+fn check_recovery(
+    factory: &ConfiguredBackend,
+    plan: BootPlan<'_>,
+    target: &mut HvTarget<'_>,
+    path: &mut Vec<usize>,
+    probes: &[usize],
+    after_reset: bool,
+) -> Result<bool, TestCaseError> {
+    let (backend, forest) = (factory.backend, factory.forest.is_some());
+    let trace = plan.trace;
+    let mut fresh = factory.build(plan);
+    fresh.boot();
+    for &k in path.iter() {
+        let out = fresh.submit(&trace.seeds[k]);
+        prop_assert!(
+            out.crash.is_none(),
+            "{backend:?}: model path replay crashed — walk bookkeeping is wrong"
+        );
+    }
+    if after_reset {
+        let (got, want) = (globals(target), globals(&fresh));
+        prop_assert!(
+            got == want,
+            "{backend:?} forest={forest}: hypervisor globals after reset differ from a \
+             fresh boot: {got} vs {want}"
+        );
+    }
+    for &k in probes {
+        let got = target.submit(&trace.seeds[k]);
+        let want = fresh.submit(&trace.seeds[k]);
+        prop_assert!(
+            got.coverage == want.coverage && got.crash == want.crash && got.cycles == want.cycles,
+            "{backend:?} forest={forest}: probe seed {k} after recovery to path {path:?} \
+             diverged from the fresh reference: {:?}/{} vs {:?}/{}",
+            got.crash,
+            got.cycles,
+            want.crash,
+            want.cycles
+        );
+        if got.crash.is_some() {
+            return Ok(false);
+        }
+        path.push(k);
+    }
+    Ok(true)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Reboot ≡ restore: arbitrary interleavings of recorded seeds,
+    /// VM-fatal and hypervisor-fatal mutants (the GETSEC reason flip on
+    /// every backend, plus `faulty`'s planted CPUID `BUG_ON` and
+    /// CR-qualification host #PF), pins and `reset`/`reset_to`
+    /// recoveries. After every recovery the next submissions' coverage,
+    /// crash verdict (console included) and cycles — and, after a
+    /// `reset`, the hypervisor globals — must equal those of a freshly
+    /// built and booted reference at the same logical state, on every
+    /// backend with the forest on and off.
+    #[test]
+    fn crash_recovery_by_restore_matches_a_fresh_boot(
+        steps in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..28),
+        prefix in 0usize..100,
+        probe_pick in any::<u64>(),
+    ) {
+        let trace = proptest_trace();
+        let plan = BootPlan::for_test_case(trace, prefix);
+        let limit = trace.seeds.len().min(60);
+        // Probes: two recorded seeds, drawn once per case.
+        let probes = [
+            (probe_pick % limit as u64) as usize,
+            ((probe_pick >> 32) % limit as u64) as usize,
+        ];
+        for backend in Backend::ALL {
+            for forest in [false, true] {
+                let factory = ConfiguredBackend::new(backend)
+                    .with_forest(forest.then_some(ForestConfig { cap: 3 }));
+                let mut target = factory.build(plan);
+                target.boot();
+                let mut path: Vec<usize> = Vec::new();
+                let mut pins: Vec<(StateId, Vec<usize>)> = Vec::new();
+                let mut clean = true;
+                for &(op, arg) in &steps {
+                    let mut step = Step::decode(op, arg);
+                    if !clean && !matches!(step, Step::Reset | Step::ResetTo(_)) {
+                        // A crashed target must recover before anything
+                        // else; pick the recovery from the step's bits.
+                        step = Step::recovery(arg);
+                    }
+                    match step {
+                        Step::Recorded(k) => {
+                            let k = k % limit;
+                            if target.submit(&trace.seeds[k]).crash.is_some() {
+                                clean = false;
+                            } else {
+                                path.push(k);
+                            }
+                        }
+                        Step::Pin => {
+                            if let Some(id) = target.pin_state() {
+                                pins.push((id, path.clone()));
+                            }
+                        }
+                        Step::Reset | Step::ResetTo(_) => {
+                            let mut after_reset = true;
+                            path.clear();
+                            if let (Step::ResetTo(i), false) = (step, pins.is_empty()) {
+                                let pick = i % pins.len();
+                                let (id, p) = pins[pick].clone();
+                                if target.reset_to(id) {
+                                    path = p;
+                                    after_reset = false;
+                                } else {
+                                    pins.remove(pick); // evicted under the tight cap
+                                }
+                            }
+                            if after_reset {
+                                target.reset();
+                            }
+                            clean = check_recovery(
+                                &factory, plan, &mut target, &mut path, &probes, after_reset,
+                            )?;
+                        }
+                        fatal => {
+                            let mutant = fatal_mutant(trace, fatal).expect("a mutant step");
+                            let out = target.submit(&mutant);
+                            if matches!(fatal, Step::GetsecFlip) {
+                                prop_assert_eq!(
+                                    out.crash.as_ref().map(|c| c.kind),
+                                    Some(iris_fuzzer::failure::FailureKind::HypervisorCrash)
+                                );
+                            }
+                            if backend == Backend::Faulty
+                                && matches!(fatal, Step::PlantedCpuid | Step::PlantedCr)
+                            {
+                                prop_assert!(
+                                    out.crash.as_ref().is_some_and(|c| c.console.contains("planted")),
+                                    "{backend:?}: planted fault did not fire: {:?}", out.crash
+                                );
+                            }
+                            // Mutants leave the recorded path either way.
+                            clean = false;
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

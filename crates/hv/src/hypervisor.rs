@@ -97,6 +97,19 @@ pub struct Hypervisor {
     pub faults: FaultInjection,
 }
 
+/// The hypervisor-global state a reboot resets, captured by
+/// [`Hypervisor::capture_globals`] and put back by
+/// [`Hypervisor::restore_globals`]. Together with a domain snapshot this
+/// turns hypervisor-crash recovery into a restore instead of a rebuild.
+#[derive(Debug, Clone)]
+pub struct HvGlobals {
+    coverage: CoverageMap,
+    tsc: VirtualTsc,
+    log: LogRing,
+    crashed: Option<HypervisorCrashReason>,
+    fuzzing_ctl: crate::handlers::vmcall::FuzzingCtl,
+}
+
 impl Default for Hypervisor {
     fn default() -> Self {
         Self::new()
@@ -120,6 +133,65 @@ impl Hypervisor {
         hv.log
             .push(0, Level::Info, "Xen-shaped hypervisor booted (IRIS model)");
         hv
+    }
+
+    /// Capture the hypervisor-global state for a later
+    /// [`Hypervisor::restore_globals`].
+    ///
+    /// Both methods destructure `Hypervisor` exhaustively, so a new
+    /// field does not compile until its reset behaviour is decided.
+    /// What they deliberately leave alone:
+    ///
+    /// * `instrumented` and `faults` are build constants, fixed before
+    ///   the first exit;
+    /// * `domains` is restored per domain by the snapshot mechanisms.
+    ///   Dom0 never changes after boot: an exit only reaches the domain
+    ///   it was taken on, because [`ExitCtx`] borrows that domain alone.
+    #[must_use]
+    pub fn capture_globals(&self) -> HvGlobals {
+        let Self {
+            domains: _,
+            coverage,
+            tsc,
+            log,
+            crashed,
+            instrumented: _,
+            fuzzing_ctl,
+            faults: _,
+        } = self;
+        HvGlobals {
+            coverage: coverage.clone(),
+            tsc: tsc.clone(),
+            log: log.clone(),
+            crashed: crashed.clone(),
+            fuzzing_ctl: *fuzzing_ctl,
+        }
+    }
+
+    /// Put back globals captured by [`Hypervisor::capture_globals`]:
+    /// what a reboot would reset, at the cost of the state that changed.
+    /// A hypervisor-fatal crash is undone here; the domains are restored
+    /// separately.
+    pub fn restore_globals(&mut self, saved: &HvGlobals) {
+        let Self {
+            domains: _,
+            coverage,
+            tsc,
+            log,
+            crashed,
+            instrumented: _,
+            fuzzing_ctl,
+            faults: _,
+        } = self;
+        if *coverage != saved.coverage {
+            coverage.clone_from(&saved.coverage);
+        }
+        tsc.clone_from(&saved.tsc);
+        if *log != saved.log {
+            log.clone_from(&saved.log);
+        }
+        crashed.clone_from(&saved.crashed);
+        *fuzzing_ctl = saved.fuzzing_ctl;
     }
 
     /// Create an HVM DomU with the given RAM size; returns its id.
@@ -421,6 +493,26 @@ mod tests {
         let out2 = hv.vm_exit(id, &ExitEvent::new(ExitReason::Cpuid), &mut NoHooks);
         assert!(out2.crash.is_some());
         assert_eq!(out2.cycles, 0);
+    }
+
+    #[test]
+    fn restore_globals_undoes_a_hypervisor_crash() {
+        let (mut hv, id) = hv_with_domu();
+        let saved = hv.capture_globals();
+        let (tsc0, log0, cov0) = (hv.tsc.now(), hv.log.len(), hv.coverage.lines());
+        let ev = ExitEvent {
+            reason_number: 11, // GETSEC: never configured to exit
+            ..ExitEvent::default()
+        };
+        hv.vm_exit(id, &ev, &mut NoHooks);
+        assert!(!hv.is_alive());
+        hv.restore_globals(&saved);
+        assert!(hv.is_alive());
+        assert_eq!(hv.tsc.now(), tsc0);
+        assert_eq!(hv.log.len(), log0);
+        assert_eq!(hv.coverage.lines(), cov0);
+        let out = hv.vm_exit(id, &ExitEvent::new(ExitReason::Cpuid), &mut NoHooks);
+        assert!(out.crash.is_none());
     }
 
     #[test]

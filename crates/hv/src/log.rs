@@ -36,7 +36,7 @@ pub struct LogLine {
 /// the door, and callers on hot paths use [`LogRing::enabled`] or
 /// [`LogRing::push_with`] to avoid even *formatting* suppressed
 /// messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LogRing {
     capacity: usize,
     lines: VecDeque<LogLine>,

@@ -127,7 +127,7 @@ const MERGE_FILES: [&str; 15] = [
 
 /// Executor worker closures and slot/range run functions: the modules
 /// where a panic silently burns the worker-restart budget.
-const PANIC_SCOPE_FILES: [&str; 12] = [
+const PANIC_SCOPE_FILES: [&str; 13] = [
     "crates/fuzzer/src/executor.rs",
     "crates/fuzzer/src/guided.rs",
     "crates/fuzzer/src/campaign.rs",
@@ -150,6 +150,9 @@ const PANIC_SCOPE_FILES: [&str; 12] = [
     // budget on every mutant that reuses the poisoned node.
     "crates/core/src/forest.rs",
     "crates/hv/src/mm.rs",
+    // EPT lookups run on every EPT exit and in every restore's
+    // equality walk: a panic there poisons every mutant of the cell.
+    "crates/vtx/src/ept.rs",
 ];
 
 /// Slot/range execution modules for the unconditional-reset law.

@@ -252,6 +252,40 @@ fn forest_fixture_is_inert_outside_the_forest_scope() {
 }
 
 #[test]
+fn ept_scope_carries_the_panic_rule() {
+    // EPT lookups run on every EPT exit and in every snapshot/forest
+    // restore's equality walk, so `crates/vtx/src/ept.rs` is in the
+    // panic scope: index arithmetic and unwraps there are flagged…
+    let bad = fixture("ept_bad.rs");
+    let diags = lint_source_scoped("crates/vtx/src/ept.rs", &bad);
+    let panic: Vec<&Diagnostic> = diags
+        .iter()
+        .filter(|d| d.rule == "panic-path-audit")
+        .collect();
+    assert!(
+        panic.iter().any(|d| d.message.contains("indexing")),
+        "extent index arithmetic must be flagged: {diags:?}"
+    );
+    assert!(
+        panic.iter().any(|d| d.message.contains("unwrap")),
+        "override unwrap must be flagged: {diags:?}"
+    );
+
+    // …the checked rewrite is clean there…
+    let good = fixture("ept_good.rs");
+    let diags = lint_source_scoped("crates/vtx/src/ept.rs", &good);
+    assert!(diags.is_empty(), "{diags:?}");
+
+    // …and the scope is a file, not a crate: the same source elsewhere
+    // in vtx draws no panic findings.
+    let diags = lint_source_scoped("crates/vtx/src/vmcs.rs", &bad);
+    assert!(
+        !rules_hit(&diags).contains(&"panic-path-audit"),
+        "{diags:?}"
+    );
+}
+
+#[test]
 fn dist_fixture_is_inert_outside_the_dist_scope() {
     // The same source under a path outside both scopes draws no merge
     // or panic findings — the dist coverage is scoping, not a global
