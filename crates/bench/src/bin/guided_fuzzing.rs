@@ -1,13 +1,14 @@
-//! The §IX coverage-guided fuzzer: AFL-style feedback over IRIS seeds.
-//! Compares blind mutation (no promotion) against the guided loop.
+//! The §IX coverage-guided fuzzer: AFL-style feedback over IRIS seeds,
+//! on the generational shared-corpus engine.
 //!
 //! `guided_fuzzing [budget] [instances] [target]` — `target` selects the
-//! fuzz-target backend (`iris` or `faulty`).
+//! fuzz-target backend (`iris` or `faulty`). The headline run is the
+//! engine's `jobs=1` reference; `instances > 1` adds an ensemble of
+//! independent runs at distinct RNG seeds, then the same total budget
+//! spent on one shared corpus.
 
 use iris_bench::experiments::record_workload;
-use iris_fuzzer::guided::{
-    run_guided_parallel_with, run_guided_shared_with, run_guided_with, GuidedConfig,
-};
+use iris_fuzzer::guided::{run_guided_shared_with, GuidedConfig};
 use iris_fuzzer::parallel::available_jobs;
 use iris_fuzzer::target::{Backend, TargetFactory};
 use iris_guest::workloads::Workload;
@@ -26,14 +27,11 @@ fn main() {
         .map(|s| Backend::parse(&s).expect("unknown target (iris|faulty)"))
         .unwrap_or(Backend::Iris);
     let (_, trace) = record_workload(Workload::OsBoot, 800, 42);
-    let r = run_guided_with(
-        &backend,
-        &trace,
-        GuidedConfig {
-            budget,
-            ..GuidedConfig::default()
-        },
-    );
+    let config = GuidedConfig {
+        budget,
+        ..GuidedConfig::default()
+    };
+    let r = run_guided_shared_with(&backend, &trace, config, 1);
     println!(
         "Coverage-guided fuzzing over OS BOOT seeds ({budget} executions, target {})\n",
         backend.name()
@@ -61,49 +59,40 @@ fn main() {
     }
     println!();
 
-    // Optional ensemble: N independent guided campaigns (distinct RNG
-    // seeds) sharded over the host's cores — the §IX reproduction at
-    // scale. Deterministic per instance, whatever the worker count.
     if instances > 1 {
-        let configs: Vec<GuidedConfig> = (0..instances as u64)
-            .map(|i| GuidedConfig {
-                budget,
-                rng_seed: 42 + i,
-                ..GuidedConfig::default()
-            })
-            .collect();
+        // An ensemble: independent runs at distinct RNG seeds, each on
+        // every core (results are the same for any worker count).
         let jobs = available_jobs();
-        let ensemble = run_guided_parallel_with(&backend, &trace, &configs, jobs);
-        println!("\nensemble: {instances} guided campaigns across {jobs} workers");
-        for (cfg, r) in configs.iter().zip(&ensemble) {
+        println!("\nensemble: {instances} independent guided runs, {jobs} workers each");
+        let mut best = 0;
+        for i in 0..instances as u64 {
+            let rng_seed = config.rng_seed + i;
+            let r =
+                run_guided_shared_with(&backend, &trace, GuidedConfig { rng_seed, ..config }, jobs);
             println!(
-                "  seed {:>3}: {} -> {} lines, {} promotions, {} crashes",
-                cfg.rng_seed,
+                "  seed {rng_seed:>3}: {} -> {} lines, {} promotions, {} crashes",
                 r.baseline_lines,
                 r.total_lines,
                 r.promotions,
                 r.failures.vm_crashes + r.failures.hv_crashes
             );
+            best = best.max(r.total_lines);
         }
-        let best = ensemble.iter().map(|r| r.total_lines).max().unwrap_or(0);
         println!("  best instance coverage: {best} lines");
 
-        // The contrast: the same total budget on ONE shared corpus via
-        // the generational engine — N workers buy N× progress on a
-        // single feedback loop instead of N disjoint corpora, and the
-        // result is byte-identical for any worker count.
+        // The contrast: the same total budget on ONE shared corpus.
+        let total = budget * instances as u64;
         let shared = run_guided_shared_with(
             &backend,
             &trace,
             GuidedConfig {
-                budget: budget * instances as u64,
-                ..GuidedConfig::default()
+                budget: total,
+                ..config
             },
             jobs,
         );
         println!(
-            "\nshared corpus: {} executions across {jobs} workers (generational sync points)",
-            budget * instances as u64
+            "\nshared corpus: {total} executions across {jobs} workers (generational sync points)"
         );
         println!(
             "  {} -> {} lines, {} promotions, corpus {}, {} crashes",

@@ -8,7 +8,6 @@ use iris_core::metrics::{self, DiffByReason, Efficiency};
 use iris_core::record::{RecordConfig, Recorder};
 use iris_core::replay::ReplayEngine;
 use iris_core::trace::RecordedTrace;
-use iris_fuzzer::campaign::Campaign;
 use iris_fuzzer::parallel::{CampaignReport, ParallelCampaign};
 use iris_fuzzer::table1::Table1;
 use iris_fuzzer::target::TargetFactory;
@@ -391,9 +390,8 @@ pub fn fig10_overhead(workload: Workload, exits: usize, runs: usize, seed: u64) 
 // Table I + §VI-B + §VI-D.
 // ---------------------------------------------------------------------
 
-/// Record the Table I workload traces — the shared input of both Table
-/// I entry points (keeping them on one recording path is what makes
-/// [`table1_parallel`] byte-identical to [`table1`]).
+/// Record the Table I workload traces — the input of
+/// [`table1_parallel_with`].
 #[must_use]
 pub fn table1_traces(exits: usize, seed: u64) -> BTreeMap<Workload, RecordedTrace> {
     let mut traces = BTreeMap::new();
@@ -404,38 +402,12 @@ pub fn table1_traces(exits: usize, seed: u64) -> BTreeMap<Workload, RecordedTrac
     traces
 }
 
-/// Run Table I with the given mutant count per cell.
-#[must_use]
-pub fn table1(exits: usize, mutants: usize, seed: u64) -> (Table1, Campaign) {
-    let traces = table1_traces(exits, seed);
-    let mut campaign = Campaign::new();
-    let table = Table1::run(&mut campaign, &traces, mutants, seed);
-    (table, campaign)
-}
-
-/// Run Table I on the sharded executor with `jobs` workers stealing
-/// mutant ranges of `chunk` mutants. The cells (and the crash corpus)
-/// are byte-identical to [`table1`]'s for any `(jobs, chunk)`; only the
-/// wall clock changes.
-#[must_use]
-pub fn table1_parallel(
-    exits: usize,
-    mutants: usize,
-    seed: u64,
-    jobs: usize,
-    chunk: usize,
-) -> (Table1, CampaignReport) {
-    let traces = table1_traces(exits, seed);
-    Table1::run_parallel(
-        &ParallelCampaign::new(jobs).with_chunk(chunk),
-        &traces,
-        mutants,
-        seed,
-    )
-}
-
-/// [`table1_parallel`] against an explicit fuzz-target backend — e.g.
-/// `FaultyHvTarget` for a ground-truth detection run of the whole table.
+/// Run Table I on the sharded executor against fuzz-target backend
+/// `factory` (e.g. `FaultyHvTarget` for a ground-truth detection run of
+/// the whole table), with `jobs` workers stealing mutant ranges of
+/// `chunk` mutants. The cells (and the crash corpus) are byte-identical
+/// to the `jobs=1` run's for any `(jobs, chunk)`; only the wall clock
+/// changes.
 #[must_use]
 pub fn table1_parallel_with<F: TargetFactory>(
     factory: F,

@@ -14,7 +14,8 @@
 //! | Fig. 8 | [`experiments::fig8_modes`] | `fig8_cr0_modes` |
 //! | Fig. 9 | [`experiments::fig9_efficiency`] | `fig9_replay_efficiency` |
 //! | Fig. 10 | [`experiments::fig10_overhead`] | `fig10_record_overhead` |
-//! | Table I | [`experiments::table1`], [`experiments::table1_parallel`] | `table1_fuzzer` |
+//! | Table I | [`experiments::table1_parallel_with`] | `table1_fuzzer` |
+//! | §IX guided | [`iris_fuzzer::guided::run_guided_shared_with`] | `guided_fuzzing` |
 //! | §VI-B boot-state | [`experiments::boot_state_experiment`] | `exp_boot_state` |
 //! | §VI-D memory | [`experiments::seed_memory`] | `exp_seed_memory` |
 

@@ -28,8 +28,7 @@ use iris_fuzzer::checkpoint::{
 use iris_fuzzer::corpus::{Corpus, CorpusWriter};
 use iris_fuzzer::executor::{ExecutorError, RunPolicy};
 use iris_fuzzer::guided::{
-    run_guided_parallel_with, run_guided_shared_session, GuidedConfig, GuidedResult,
-    SharedRunOptions,
+    run_guided_shared_session, GuidedConfig, GuidedResult, SharedRunOptions,
 };
 use iris_fuzzer::mutation::SeedArea;
 use iris_fuzzer::parallel::{available_jobs, CampaignReport, CampaignRunOptions, ParallelCampaign};
@@ -37,6 +36,7 @@ use iris_fuzzer::table1::Table1;
 use iris_fuzzer::target::{render_planted_fault_report, Backend, ConfiguredBackend, TargetFactory};
 use iris_fuzzer::testcase::{TestCase, DEFAULT_CHUNK};
 use iris_guest::workloads::Workload;
+use std::cell::RefCell;
 use std::io::IsTerminal;
 use std::path::PathBuf;
 
@@ -93,9 +93,9 @@ iris — record & replay framework for hardware-assisted virtualization fuzzing
 USAGE:
     iris record   <workload> [--exits N] [--seed S] [--out FILE.json]
     iris replay   <workload> [--exits N] [--seed S] [--cold] [--memory]
-    iris fuzz     <workload> [--exits N] [--mutants M] [--area vmcs|gpr] [--reason R] [--jobs N] [--chunk C] [--target T]
-    iris campaign <workload> [--exits N] [--mutants M] [--jobs N] [--chunk C] [--target T] [--forest] [--forest-cap N] [--json FILE] [--corpus FILE] [--checkpoint FILE] [--resume FILE]
-    iris guided   <workload> [--exits N] [--budget B] [--gen G] [--jobs N] [--mode shared|ensemble] [--target T] [--forest] [--forest-cap N] [--json FILE] [--corpus FILE] [--checkpoint FILE] [--resume FILE]
+    iris fuzz     <workload> [--exits N] [--seed S] [--mutants M] [--area vmcs|gpr] [--reason R] [--jobs N] [--chunk C] [--target T]
+    iris campaign <workload> [--exits N] [--seed S] [--mutants M] [--jobs N] [--chunk C] [--target T] [--forest] [--forest-cap N] [--json FILE] [--corpus FILE] [--checkpoint FILE] [--resume FILE]
+    iris guided   <workload> [--exits N] [--seed S] [--budget B] [--gen G] [--jobs N] [--target T] [--forest] [--forest-cap N] [--json FILE] [--corpus FILE] [--checkpoint FILE] [--resume FILE]
     iris targets
     iris report   <FILE.json>
     iris lint     [--root PATH] [--json FILE]
@@ -108,6 +108,8 @@ USAGE:
     iris chaos    --connect ADDR [--listen ADDR] [--seed S] [--budget N]
 
 WORKLOADS: os_boot | cpu_bound | mem_bound | io_bound | idle
+
+A flag not listed on a subcommand's line above is a usage error.
 
 `campaign` fuzzes every (exit reason x seed area) cell the trace offers,
 sharded over N worker threads (default: available parallelism) stealing
@@ -122,14 +124,12 @@ hypervisor); `iris targets` lists every registered backend. The faulty
 backend plants known handler bugs, and `campaign --target faulty`
 reports which of them the run detected.
 
-`guided` runs the coverage-guided feedback loop. The default mode,
-`shared`, is the generational shared-corpus engine: N workers fuzz ONE
-corpus, synchronizing at generation barriers every G executions
-(default: 256), and the result — promotions, corpus order, growth
-curve, crashes — is byte-identical for any N (`--json` writes it for
-diffing). `ensemble` instead runs N independent loops with distinct RNG
-seeds (N disjoint corpora). `--corpus` persists the crash corpus (per
-generation in shared mode) through the background writer.
+`guided` runs the coverage-guided feedback loop on the generational
+shared-corpus engine: N workers fuzz ONE corpus, synchronizing at
+generation barriers every G executions (default: 256), and the result —
+promotions, corpus order, growth curve, crashes — is byte-identical for
+any N (`--json` writes it for diffing). `--corpus` persists the crash
+corpus per generation through the background writer.
 
 `--forest` turns on the copy-on-write snapshot forest (PERFORMANCE.md):
 targets pin post-execution state nodes and restore to them in O(delta)
@@ -137,15 +137,14 @@ instead of replaying the whole seed prefix from s1. Reports are
 byte-identical with the forest on or off, for any --jobs/--chunk — the
 flag changes replay cost only. `--forest-cap N` bounds the live node
 count (default: 64; LRU nodes collapse into their parents). Forest
-mode covers `campaign` and `guided --mode shared`; `--mode ensemble`
-rejects it. Checkpoint fingerprints ignore the flag, so a resume may
-switch it freely (RELIABILITY.md).
+mode covers `campaign` and `guided`. Checkpoint fingerprints ignore the
+flag, so a resume may switch it freely (RELIABILITY.md).
 
 Fault tolerance: worker panics are absorbed — the lost work is re-run
 byte-identically on a fresh worker context, up to a restart budget.
 `--checkpoint` persists progress durably (atomic tmp-file + rename) at
-every test-case fold (`campaign`) or generation barrier (`guided`
-shared mode), so a killed run loses at most one boundary's work.
+every test-case fold (`campaign`) or generation barrier (`guided`), so
+a killed run loses at most one boundary's work.
 `--resume` continues from such a file: a missing file simply starts
 fresh, but a checkpoint from a different run configuration (workload,
 seed, target, budget…) is rejected by its fingerprint. Worker count
@@ -153,7 +152,7 @@ and chunk size may change across a resume — the final report stays
 byte-identical to an uninterrupted run. Ctrl-C stops gracefully: the
 run finishes in-flight work, writes a final checkpoint, and still
 flushes the --json/--corpus artifacts (a second Ctrl-C kills
-immediately). `--checkpoint`/`--resume` reject `--mode ensemble`.
+immediately).
 
 Distributed service (DISTRIBUTED.md): `serve` runs the coordinator
 daemon (default --listen 127.0.0.1:7331); `worker` processes connect to
@@ -204,7 +203,99 @@ fn parse_workload(name: &str) -> Result<Workload, CliError> {
     }
 }
 
+/// The subcommands [`USAGE`] documents, each with the flags its line(s)
+/// list: `(flag, takes_value)` pairs. Keys are the command words
+/// (`"campaign"`, `"submit guided"`). A bracketed `[--flag]` is a
+/// switch; any other flag takes the value token that follows it.
+fn usage_table() -> Vec<(String, Vec<(&'static str, bool)>)> {
+    let mut table: Vec<(String, Vec<(&'static str, bool)>)> = Vec::new();
+    let synopsis = USAGE
+        .lines()
+        .skip_while(|l| *l != "USAGE:")
+        .skip(1)
+        .take_while(|l| !l.is_empty());
+    for line in synopsis {
+        let mut tokens = line.split_whitespace().peekable();
+        if tokens.next_if_eq(&"iris").is_some() {
+            let mut words = Vec::new();
+            while let Some(word) = tokens.next_if(|t| !t.starts_with(['<', '[', '-'])) {
+                words.push(word);
+            }
+            table.push((words.join(" "), Vec::new()));
+        }
+        let Some((_, flags)) = table.last_mut() else {
+            continue;
+        };
+        while let Some(token) = tokens.next() {
+            let token = token.trim_start_matches('[');
+            if !token.starts_with("--") {
+                continue;
+            }
+            let switch = token.ends_with(']');
+            let takes_value = !switch && tokens.peek().is_some_and(|t| !t.starts_with(['[', '-']));
+            flags.push((token.trim_end_matches(']'), takes_value));
+        }
+    }
+    table
+}
+
+thread_local! {
+    /// The flags the USAGE line of the subcommand being dispatched
+    /// lists. Every lookup is checked against it, so a flag a command
+    /// reads but [`check_flags`] would reject fails in debug builds.
+    static DOCUMENTED: RefCell<Option<Vec<&'static str>>> = const { RefCell::new(None) };
+}
+
+fn debug_assert_documented(flag: &str) {
+    DOCUMENTED.with(|documented| {
+        if let Some(flags) = &*documented.borrow() {
+            debug_assert!(
+                flags.contains(&flag),
+                "the command reads {flag}, which its USAGE line does not list"
+            );
+        }
+    });
+}
+
+/// Reject any flag the subcommand's [`USAGE`] line does not list, so a
+/// typo (`--mutant`, `--budgte`) fails loudly instead of silently
+/// running with the default. Commands USAGE does not document (`help`,
+/// an unknown `submit` family) pass through to their own errors.
+fn check_flags(args: &[String]) -> Result<(), CliError> {
+    let table = usage_table();
+    let words = |cmd: &str| cmd.split(' ').count();
+    let entry = table
+        .iter()
+        .find(|(cmd, _)| args.get(..words(cmd)).is_some_and(|a| a.join(" ") == *cmd));
+    DOCUMENTED.with(|documented| {
+        *documented.borrow_mut() =
+            entry.map(|(_, flags)| flags.iter().map(|(flag, _)| *flag).collect());
+    });
+    let Some((cmd, flags)) = entry else {
+        return Ok(());
+    };
+    let mut rest = args.iter().skip(words(cmd));
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        match flags.iter().find(|(flag, _)| flag == arg) {
+            Some((_, true)) => {
+                rest.next();
+            }
+            Some((_, false)) => {}
+            None => {
+                return Err(CliError::Usage(format!(
+                    "unknown flag '{arg}' for `iris {cmd}` (see `iris help`)"
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    debug_assert_documented(flag);
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
@@ -220,12 +311,18 @@ fn parse_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> R
     }
 }
 
+fn has_switch(args: &[String], flag: &str) -> bool {
+    debug_assert_documented(flag);
+    args.iter().any(|a| a == flag)
+}
+
 /// Run the CLI against `args` (without the program name). Returns the
 /// text to print.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some(cmd) = args.first() else {
         return Err(CliError::Usage(USAGE.to_owned()));
     };
+    check_flags(args)?;
     match cmd.as_str() {
         "record" => cmd_record(&args[1..]),
         "replay" => cmd_replay(&args[1..]),
@@ -291,8 +388,8 @@ fn cmd_record(args: &[String]) -> Result<String, CliError> {
 
 fn cmd_replay(args: &[String]) -> Result<String, CliError> {
     let (mut mgr, w, exits, seed) = setup(args)?;
-    let cold = args.iter().any(|a| a == "--cold");
-    let with_memory = args.iter().any(|a| a == "--memory");
+    let cold = has_switch(args, "--cold");
+    let with_memory = has_switch(args, "--memory");
     let ops = w.generate(exits, seed);
     mgr.record(
         w.label(),
@@ -435,7 +532,7 @@ fn parse_chunk(args: &[String]) -> Result<usize, CliError> {
 /// forest on or off — only replay cost changes (O(delta) instead of
 /// O(prefix); PERFORMANCE.md §snapshot forest).
 fn parse_forest(args: &[String]) -> Result<Option<ForestConfig>, CliError> {
-    let enabled = args.iter().any(|a| a == "--forest");
+    let enabled = has_switch(args, "--forest");
     if !enabled {
         if flag_value(args, "--forest-cap").is_some() {
             return Err(CliError::Usage("--forest-cap requires --forest".to_owned()));
@@ -694,6 +791,10 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// `iris guided`: the generational shared-corpus engine — one corpus,
+/// `jobs` workers, byte-identical results for any worker count. The
+/// crash corpus persists per generation through the background writer;
+/// the result JSON is the determinism artifact CI byte-diffs.
 fn cmd_guided(args: &[String]) -> Result<String, CliError> {
     let (mut mgr, w, exits, seed) = setup(args)?;
     let budget: u64 = parse_num(args, "--budget", 1500)?;
@@ -703,7 +804,7 @@ fn cmd_guided(args: &[String]) -> Result<String, CliError> {
     }
     let jobs = parse_jobs(args)?;
     let backend = parse_target(args)?;
-    let mode = flag_value(args, "--mode").unwrap_or_else(|| "shared".to_owned());
+    let forest = parse_forest(args)?;
     let ops = w.generate(exits, seed);
     mgr.record(w.label(), ops, RecordConfig::default());
     let trace = mgr.db.get(w.label()).expect("recorded").clone();
@@ -713,32 +814,102 @@ fn cmd_guided(args: &[String]) -> Result<String, CliError> {
         generation,
         ..GuidedConfig::default()
     };
-    let forest = parse_forest(args)?;
-    match mode.as_str() {
-        "shared" => cmd_guided_shared(args, w, &trace, config, exits, jobs, backend, forest),
-        "ensemble" => {
-            let (checkpoint, resume) = parse_durability(args);
-            if checkpoint.is_some() || resume.is_some() {
-                // The ensemble is N independent runs with N disjoint
-                // corpora — there is no single progress point to
-                // snapshot, so durability is a shared-mode feature.
-                return Err(CliError::Usage(
-                    "--checkpoint/--resume require --mode shared".to_owned(),
-                ));
-            }
-            if forest.is_some() {
-                // Ensemble loops are sequential per worker — no prefix
-                // replay to amortize, so the forest buys nothing there.
-                return Err(CliError::Usage(
-                    "--forest requires --mode shared".to_owned(),
-                ));
-            }
-            cmd_guided_ensemble(args, w, &trace, config, jobs, backend)
+    let fingerprint = guided_fingerprint(backend.name(), w.label(), exits, &config);
+    let (checkpoint_path, resume_path) = parse_durability(args);
+    let (resume, resume_note) =
+        load_resume(resume_path.as_ref(), &fingerprint, GuidedCheckpoint::load)?;
+
+    let corpus_path = flag_value(args, "--corpus").map(PathBuf::from);
+    let writer = corpus_path.as_ref().map(|p| CorpusWriter::spawn(p.clone()));
+    let ckpt_writer = checkpoint_path
+        .as_ref()
+        .map(|p| JsonWriter::<GuidedCheckpoint>::spawn(p.clone()));
+    let stop = sigint::install();
+    let show_progress = std::io::stderr().is_terminal();
+    let mut last_observed = 0u64;
+    let options = SharedRunOptions {
+        policy: RunPolicy {
+            stop: Some(stop),
+            ..RunPolicy::default()
+        },
+        resume,
+    };
+    // Fingerprints deliberately exclude the forest flag (like jobs and
+    // chunk): the report bytes are invariant under it, so a resume may
+    // switch it freely (RELIABILITY.md).
+    let factory = ConfiguredBackend::new(backend).with_forest(forest);
+    let r = run_guided_shared_session(&factory, &trace, config, jobs, options, |p| {
+        if show_progress {
+            eprint!(
+                "\rguided: {}/{} executions, {} lines, corpus {}",
+                p.executed, p.budget, p.total_lines, p.corpus_size
+            );
         }
-        other => Err(CliError::Usage(format!(
-            "bad --mode '{other}' (shared | ensemble)"
-        ))),
+        if let Some(writer) = &writer {
+            // Persist only when the crash corpus actually grew —
+            // crash-free generations would otherwise rewrite
+            // byte-identical JSON once per barrier.
+            if p.crashes.observed() > last_observed {
+                last_observed = p.crashes.observed();
+                writer.persist(p.crashes.clone());
+            }
+        }
+        if let Some(ckpt) = &ckpt_writer {
+            // Every generation barrier is a resumable point; the
+            // newest-wins background writer coalesces the stream.
+            ckpt.persist(p.checkpoint(&fingerprint));
+        }
+    })
+    .map_err(CliError::Run)?;
+    if show_progress {
+        eprintln!();
     }
+    let interrupted = r.executions < config.budget;
+
+    let mut out = format!(
+        "guided fuzzing over {} ({} executions, target {}{})\n\
+         shared corpus: {} worker{}, {} generations of ≤{} executions\n",
+        w.label(),
+        config.budget,
+        backend.name(),
+        forest.map_or(String::new(), |f| format!(", forest cap {}", f.cap)),
+        jobs,
+        if jobs == 1 { "" } else { "s" },
+        r.growth.len(),
+        config.generation
+    );
+    out.push_str(&resume_note);
+    out.push_str(&render_guided_result(&r));
+    if interrupted {
+        out.push_str(&interrupted_note(
+            r.executions,
+            config.budget,
+            "executions",
+            checkpoint_path.as_ref(),
+        ));
+    }
+    // The result JSON is byte-identical across --jobs — the artifact CI
+    // diffs for the shared-mode determinism smoke. The corpus gets a
+    // final snapshot (crashes may have arrived since the last grow-only
+    // persist) and the background writers' errors surface at exit. All
+    // of this runs even when the run was interrupted.
+    finish_artifacts(
+        &mut out,
+        "result JSON",
+        flag_value(args, "--json").map(|path| {
+            (
+                path,
+                serde_json::to_string_pretty(&r).expect("result serializes"),
+            )
+        }),
+        writer
+            .zip(corpus_path)
+            .map(|(writer, path)| (writer, path, r.crashes.clone())),
+        ckpt_writer
+            .zip(checkpoint_path)
+            .map(|(writer, path)| (path, writer.finish())),
+    )?;
+    Ok(out)
 }
 
 /// Finalize a run's on-disk artifacts: write the `--json` report (if
@@ -788,7 +959,8 @@ fn finish_artifacts(
     Ok(())
 }
 
-/// Render the coverage/crash summary every guided mode shares.
+/// Render the coverage/crash summary of a guided result (in-process or
+/// fleet-delivered).
 fn render_guided_result(r: &GuidedResult) -> String {
     format!(
         "coverage: {} -> {} lines ({} promotions, corpus {})\n\
@@ -804,186 +976,6 @@ fn render_guided_result(r: &GuidedResult) -> String {
         r.crashes.observed(),
         r.crashes.unique()
     )
-}
-
-/// The generational shared-corpus mode: one corpus, `jobs` workers,
-/// byte-identical results for any worker count. The crash corpus
-/// persists per generation through the background writer; the report
-/// JSON is the determinism artifact CI byte-diffs.
-#[allow(clippy::too_many_arguments)]
-fn cmd_guided_shared(
-    args: &[String],
-    w: Workload,
-    trace: &iris_core::trace::RecordedTrace,
-    config: GuidedConfig,
-    exits: usize,
-    jobs: usize,
-    backend: Backend,
-    forest: Option<ForestConfig>,
-) -> Result<String, CliError> {
-    let fingerprint = guided_fingerprint(backend.name(), w.label(), exits, &config);
-    let (checkpoint_path, resume_path) = parse_durability(args);
-    let (resume, resume_note) =
-        load_resume(resume_path.as_ref(), &fingerprint, GuidedCheckpoint::load)?;
-
-    let corpus_path = flag_value(args, "--corpus").map(PathBuf::from);
-    let writer = corpus_path.as_ref().map(|p| CorpusWriter::spawn(p.clone()));
-    let ckpt_writer = checkpoint_path
-        .as_ref()
-        .map(|p| JsonWriter::<GuidedCheckpoint>::spawn(p.clone()));
-    let stop = sigint::install();
-    let show_progress = std::io::stderr().is_terminal();
-    let mut last_observed = 0u64;
-    let options = SharedRunOptions {
-        policy: RunPolicy {
-            stop: Some(stop),
-            ..RunPolicy::default()
-        },
-        resume,
-    };
-    // Fingerprints deliberately exclude the forest flag (like jobs and
-    // chunk): the report bytes are invariant under it, so a resume may
-    // switch it freely (RELIABILITY.md).
-    let factory = ConfiguredBackend::new(backend).with_forest(forest);
-    let r = run_guided_shared_session(&factory, trace, config, jobs, options, |p| {
-        if show_progress {
-            eprint!(
-                "\rguided: {}/{} executions, {} lines, corpus {}",
-                p.executed, p.budget, p.total_lines, p.corpus_size
-            );
-        }
-        if let Some(writer) = &writer {
-            // Persist only when the crash corpus actually grew —
-            // crash-free generations would otherwise rewrite
-            // byte-identical JSON once per barrier.
-            if p.crashes.observed() > last_observed {
-                last_observed = p.crashes.observed();
-                writer.persist(p.crashes.clone());
-            }
-        }
-        if let Some(ckpt) = &ckpt_writer {
-            // Every generation barrier is a resumable point; the
-            // newest-wins background writer coalesces the stream.
-            ckpt.persist(p.checkpoint(&fingerprint));
-        }
-    })
-    .map_err(CliError::Run)?;
-    if show_progress {
-        eprintln!();
-    }
-    let interrupted = r.executions < config.budget;
-
-    let mut out = format!(
-        "guided fuzzing over {} ({} executions, target {}{})\n\
-         mode shared: {} worker{}, {} generations of ≤{} executions\n",
-        w.label(),
-        config.budget,
-        backend.name(),
-        forest.map_or(String::new(), |f| format!(", forest cap {}", f.cap)),
-        jobs,
-        if jobs == 1 { "" } else { "s" },
-        r.growth.len(),
-        config.generation
-    );
-    out.push_str(&resume_note);
-    out.push_str(&render_guided_result(&r));
-    if interrupted {
-        out.push_str(&interrupted_note(
-            r.executions,
-            config.budget,
-            "executions",
-            checkpoint_path.as_ref(),
-        ));
-    }
-    // The result JSON is byte-identical across --jobs — the artifact CI
-    // diffs for the shared-mode determinism smoke. The corpus gets a
-    // final snapshot (crashes may have arrived since the last grow-only
-    // persist) and the background writers' errors surface at exit. All
-    // of this runs even when the run was interrupted.
-    finish_artifacts(
-        &mut out,
-        "result JSON",
-        flag_value(args, "--json").map(|path| {
-            (
-                path,
-                serde_json::to_string_pretty(&r).expect("result serializes"),
-            )
-        }),
-        writer
-            .zip(corpus_path)
-            .map(|(writer, path)| (writer, path, r.crashes.clone())),
-        ckpt_writer
-            .zip(checkpoint_path)
-            .map(|(writer, path)| (path, writer.finish())),
-    )?;
-    Ok(out)
-}
-
-/// The ensemble mode: `jobs` independent sequential loops with distinct
-/// RNG seeds (rng_seed + i), sharded over the worker pool — N disjoint
-/// corpora instead of N× progress on one.
-fn cmd_guided_ensemble(
-    args: &[String],
-    w: Workload,
-    trace: &iris_core::trace::RecordedTrace,
-    config: GuidedConfig,
-    jobs: usize,
-    backend: Backend,
-) -> Result<String, CliError> {
-    let configs: Vec<GuidedConfig> = (0..jobs as u64)
-        .map(|i| GuidedConfig {
-            rng_seed: config.rng_seed + i,
-            ..config
-        })
-        .collect();
-    let results = run_guided_parallel_with(&backend, trace, &configs, jobs);
-    let mut out = format!(
-        "guided fuzzing over {} ({} executions, target {})\n\
-         mode ensemble: {} independent instance{} (disjoint corpora)\n",
-        w.label(),
-        config.budget,
-        backend.name(),
-        jobs,
-        if jobs == 1 { "" } else { "s" },
-    );
-    for (cfg, r) in configs.iter().zip(&results) {
-        out.push_str(&format!(
-            "  seed {:>3}: {} -> {} lines, {} promotions, {} crashes\n",
-            cfg.rng_seed,
-            r.baseline_lines,
-            r.total_lines,
-            r.promotions,
-            r.failures.vm_crashes + r.failures.hv_crashes
-        ));
-    }
-    let best = results
-        .iter()
-        .max_by_key(|r| r.total_lines)
-        .expect("jobs >= 1");
-    out.push_str("best instance:\n");
-    out.push_str(&render_guided_result(best));
-    // The corpus artifact merges the instances' crash corpora in config
-    // order (the deterministic dedup order) and persists through the
-    // background writer, surfacing its error like the shared path does.
-    finish_artifacts(
-        &mut out,
-        "result JSON",
-        flag_value(args, "--json").map(|path| {
-            (
-                path,
-                serde_json::to_string_pretty(&results).expect("results serialize"),
-            )
-        }),
-        flag_value(args, "--corpus").map(PathBuf::from).map(|path| {
-            let mut merged = Corpus::new();
-            for r in &results {
-                merged.absorb(r.crashes.clone());
-            }
-            (CorpusWriter::spawn(path.clone()), path, merged)
-        }),
-        None,
-    )?;
-    Ok(out)
 }
 
 fn cmd_report(args: &[String]) -> Result<String, CliError> {
@@ -1111,7 +1103,7 @@ fn cmd_worker(args: &[String]) -> Result<String, CliError> {
     let opts = WorkerOptions {
         connect,
         target: backend.name().to_owned(),
-        once: args.iter().any(|a| a == "--once"),
+        once: has_switch(args, "--once"),
         heartbeat_ms,
         backoff,
         corrupt_after,
@@ -1337,20 +1329,13 @@ mod tests {
 
     #[test]
     fn forest_flag_is_validated() {
-        // A cap without the flag is a usage error, as is cap 0 and
-        // forest in ensemble mode (no prefix replay to amortize there).
+        // A cap without the flag is a usage error, as is cap 0.
         assert!(matches!(
             run(&args("campaign os_boot --exits 80 --forest-cap 8")),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
             run(&args("campaign os_boot --exits 80 --forest --forest-cap 0")),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&args(
-                "guided os_boot --exits 80 --budget 100 --mode ensemble --forest"
-            )),
             Err(CliError::Usage(_))
         ));
     }
@@ -1540,34 +1525,56 @@ mod tests {
         let dir = std::env::temp_dir();
         let j1 = dir.join("iris-cli-guided-jobs1.json");
         let j2 = dir.join("iris-cli-guided-jobs2.json");
-        let one = run(&args(&format!(
-            "guided os_boot --exits 150 --budget 300 --gen 64 --jobs 1 --json {}",
-            j1.display()
-        )))
-        .unwrap();
-        let two = run(&args(&format!(
-            "guided os_boot --exits 150 --budget 300 --gen 64 --jobs 2 --json {}",
-            j2.display()
-        )))
-        .unwrap();
-        assert!(one.contains("mode shared"), "{one}");
         // Apart from the worker count in the header, even the rendered
         // text agrees; the JSON artifacts are byte-identical.
         let strip = |s: &str| {
             s.lines()
-                .filter(|l| !l.starts_with("mode shared") && !l.starts_with("result JSON written"))
+                .filter(|l| {
+                    !l.starts_with("shared corpus") && !l.starts_with("result JSON written")
+                })
                 .map(str::to_owned)
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        assert_eq!(strip(&one), strip(&two));
-        assert_eq!(
-            std::fs::read_to_string(&j1).unwrap(),
-            std::fs::read_to_string(&j2).unwrap(),
-            "shared-mode result JSON must be byte-identical across --jobs"
-        );
+        for target in ["iris", "faulty"] {
+            let one = run(&args(&format!(
+                "guided os_boot --exits 150 --budget 300 --gen 64 --jobs 1 --target {target} --json {}",
+                j1.display()
+            )))
+            .unwrap();
+            let two = run(&args(&format!(
+                "guided os_boot --exits 150 --budget 300 --gen 64 --jobs 2 --target {target} --json {}",
+                j2.display()
+            )))
+            .unwrap();
+            assert!(one.contains("shared corpus: 1 worker,"), "{one}");
+            assert_eq!(strip(&one), strip(&two), "{target}");
+            assert_eq!(
+                std::fs::read_to_string(&j1).unwrap(),
+                std::fs::read_to_string(&j2).unwrap(),
+                "{target}: shared-mode result JSON must be byte-identical across --jobs"
+            );
+        }
         std::fs::remove_file(&j1).ok();
         std::fs::remove_file(&j2).ok();
+    }
+
+    #[test]
+    fn seed_is_accepted_by_every_command_that_reads_it() {
+        // `--seed` picks the recorded trace, and through it the Table 1
+        // plan and the checkpoint fingerprint.
+        for cmd in [
+            "fuzz os_boot --mutants 5",
+            "campaign os_boot --mutants 5",
+            "guided os_boot --budget 100",
+        ] {
+            let at = |seed: u64| run(&args(&format!("{cmd} --exits 80 --jobs 1 --seed {seed}")));
+            assert_ne!(
+                at(7).unwrap(),
+                at(42).unwrap(),
+                "`iris {cmd}` ignored --seed"
+            );
+        }
     }
 
     #[test]
@@ -1624,23 +1631,14 @@ mod tests {
     }
 
     #[test]
-    fn guided_ensemble_runs_independent_instances() {
-        let out = run(&args(
-            "guided os_boot --exits 150 --budget 150 --jobs 2 --mode ensemble",
-        ))
-        .unwrap();
-        assert!(out.contains("mode ensemble"), "{out}");
-        assert!(out.contains("seed  42"), "{out}");
-        assert!(out.contains("seed  43"), "{out}");
-        assert!(out.contains("best instance"), "{out}");
-    }
-
-    #[test]
     fn guided_rejects_bad_mode_and_zero_gen() {
-        assert!(matches!(
-            run(&args("guided os_boot --exits 100 --mode martian")),
-            Err(CliError::Usage(_))
-        ));
+        // There is one guided engine, so `--mode` is no flag at all.
+        for mode in ["martian", "shared", "ensemble"] {
+            assert!(matches!(
+                run(&args(&format!("guided os_boot --exits 100 --mode {mode}"))),
+                Err(CliError::Usage(s)) if s.contains("'--mode'")
+            ));
+        }
         assert!(matches!(
             run(&args("guided os_boot --exits 100 --gen 0")),
             Err(CliError::Usage(_))
@@ -1747,14 +1745,72 @@ mod tests {
     }
 
     #[test]
-    fn ensemble_mode_rejects_durability_flags() {
-        for flag in ["--checkpoint", "--resume"] {
-            let err = run(&args(&format!(
-                "guided os_boot --exits 100 --budget 100 --mode ensemble {flag} x.json"
-            )))
-            .unwrap_err();
-            assert!(matches!(err, CliError::Usage(_)), "{err}");
-            assert!(err.to_string().contains("--mode shared"), "{err}");
+    fn every_subcommand_rejects_unknown_flags_and_accepts_documented_ones() {
+        let table = usage_table();
+        let commands: Vec<&str> = table.iter().map(|(cmd, _)| cmd.as_str()).collect();
+        assert_eq!(
+            commands,
+            [
+                "record",
+                "replay",
+                "fuzz",
+                "campaign",
+                "guided",
+                "targets",
+                "report",
+                "lint",
+                "serve",
+                "worker",
+                "submit campaign",
+                "submit guided",
+                "chaos"
+            ]
+        );
+        for (cmd, flags) in &table {
+            // Every flag the usage line documents passes, values and
+            // switches alike.
+            let mut documented: Vec<String> = args(cmd);
+            documented.push("os_boot".to_owned());
+            for (flag, takes_value) in flags {
+                documented.push((*flag).to_owned());
+                if *takes_value {
+                    documented.push("1".to_owned());
+                }
+            }
+            if let Err(e) = check_flags(&documented) {
+                panic!("`iris {cmd}` rejected its own usage line: {e}");
+            }
+            // An undocumented one is a usage error naming it, raised
+            // before the command does any work.
+            let mut bad = args(cmd);
+            bad.extend(["os_boot".to_owned(), "--bogus".to_owned()]);
+            assert!(
+                matches!(run(&bad), Err(CliError::Usage(s)) if s.contains("'--bogus'")),
+                "`iris {cmd}` accepted an unknown flag"
+            );
+        }
+        // The parse tells values from switches.
+        let flags_of = |cmd: &str| &table.iter().find(|(c, _)| c == cmd).unwrap().1;
+        assert!(flags_of("campaign").contains(&("--exits", true)));
+        assert!(flags_of("campaign").contains(&("--forest", false)));
+        assert!(flags_of("replay").contains(&("--cold", false)));
+        assert!(flags_of("replay").contains(&("--memory", false)));
+        assert!(flags_of("worker").contains(&("--connect", true)));
+        assert!(flags_of("worker").contains(&("--once", false)));
+        assert!(flags_of("serve").contains(&("--read-deadline-ms", true)));
+        assert!(flags_of("targets").is_empty());
+        // Typos are usage errors, not silent defaults.
+        for (line, flag) in [
+            (
+                "campaign os_boot --exits 80 --mutant 5 --jobs 1",
+                "'--mutant'",
+            ),
+            ("guided os_boot --exits 80 --budgte 5", "'--budgte'"),
+        ] {
+            assert!(
+                matches!(run(&args(line)), Err(CliError::Usage(s)) if s.contains(flag)),
+                "{line}"
+            );
         }
     }
 

@@ -34,7 +34,7 @@ pub enum JobKind {
         /// shapes load balancing.
         chunk: usize,
     },
-    /// A shared-corpus guided run (`iris guided --mode shared`).
+    /// A shared-corpus guided run (`iris guided`).
     Guided {
         /// Total slot budget.
         budget: u64,

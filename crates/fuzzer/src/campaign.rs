@@ -7,16 +7,20 @@
 //! `C(VM_seed_R)_1..M` and reports the newly discovered coverage and the
 //! failure statistics — one Table I cell per test case.
 //!
-//! The SUT lifecycle (reach `s1`, submit, reset after a crash) lives
-//! behind the [`FuzzTarget`] trait, so the same driver fuzzes any
-//! registered backend ([`crate::target::Backend`]); the driver itself is
-//! generic over the [`TargetFactory`], keeping submission statically
-//! dispatched.
+//! This module holds the per-chunk core of that loop
+//! ([`run_mutant_range_with`] / [`run_mutant_range_on`]) and the
+//! assembly of a test case's chunks ([`assemble_test_case`]); the one
+//! campaign engine, [`crate::parallel::ParallelCampaign`], runs plans on
+//! them, and its `jobs=1` run is the reference. The SUT lifecycle
+//! (reach `s1`, submit, reset after a crash) lives behind the
+//! [`FuzzTarget`] trait, so the same core fuzzes any registered backend
+//! ([`crate::target::Backend`]); it is generic over the
+//! [`TargetFactory`], keeping submission statically dispatched.
 
 use crate::corpus::{Corpus, CrashRecord};
 use crate::failure::FailureStats;
 use crate::mutation::{mutant_rng, mutate};
-use crate::target::{BootPlan, FuzzTarget, IrisHvTarget, TargetFactory};
+use crate::target::{BootPlan, FuzzTarget, TargetFactory};
 use crate::testcase::{MutantRange, TestCase};
 use iris_core::trace::RecordedTrace;
 use iris_hv::coverage::CoverageMap;
@@ -37,64 +41,10 @@ pub struct TestCaseResult {
     pub failures: FailureStats,
 }
 
-/// Default dummy-VM RAM for campaign drivers (sequential and sharded):
+/// Default dummy-VM RAM for the campaign and guided drivers:
 /// the seeds carry the state, so RAM only matters for the
 /// guest-memory-dependent paths.
 pub const DEFAULT_RAM_BYTES: u64 = 16 << 20;
-
-/// Campaign driver, generic over the fuzz-target backend.
-#[derive(Debug)]
-pub struct Campaign<F: TargetFactory = IrisHvTarget> {
-    /// Builds the per-test-case target instances.
-    pub factory: F,
-    /// Saved crashes.
-    pub corpus: Corpus,
-}
-
-impl Default for Campaign {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Campaign {
-    /// A stock-backend campaign with small dummy VMs (the seeds carry
-    /// the state; RAM only matters for guest-memory-dependent paths).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_factory(IrisHvTarget::default())
-    }
-}
-
-impl<F: TargetFactory> Campaign<F> {
-    /// A campaign over an explicit backend factory.
-    #[must_use]
-    pub fn with_factory(factory: F) -> Self {
-        Self {
-            factory,
-            corpus: Corpus::new(),
-        }
-    }
-
-    /// Run one test case against a recorded trace.
-    ///
-    /// The trace must be the recording of `testcase.workload`;
-    /// `testcase.seed_index` selects `VM_seed_R` within it.
-    pub fn run_test_case(&mut self, trace: &RecordedTrace, testcase: &TestCase) -> TestCaseResult {
-        self.run_test_case_cov(trace, testcase).0
-    }
-
-    /// Like [`Campaign::run_test_case`], but also returns the coverage
-    /// map the test case touched (baseline ∪ discovered). The parallel
-    /// executor merges these word-wise into the campaign-wide map.
-    pub fn run_test_case_cov(
-        &mut self,
-        trace: &RecordedTrace,
-        testcase: &TestCase,
-    ) -> (TestCaseResult, CoverageMap) {
-        run_test_case_with(&self.factory, &mut self.corpus, trace, testcase)
-    }
-}
 
 /// Partial output of one mutant-range run — everything the aggregator
 /// needs to reassemble the test case's [`TestCaseResult`]. One value is
@@ -128,9 +78,9 @@ pub struct ChunkOutput {
 /// `rng_seed ⊕ range_start` and re-derives it per index, so the mutant
 /// stream — and, because submissions are history-independent from the
 /// canonical post-baseline state, the outcome stream — is invariant
-/// under the partition of `0..mutants` into chunks. Sequential drivers
-/// call this once with [`MutantRange::whole`]; the sharded executor
-/// calls it per stolen chunk.
+/// under the partition of `0..mutants` into chunks. The sharded
+/// executor calls it per stolen chunk (one chunk spans the whole cell
+/// at `with_chunk(usize::MAX)`).
 ///
 /// # Panics
 /// Panics if `range` reaches beyond `testcase.mutants` — a malformed
@@ -246,11 +196,11 @@ pub fn run_mutant_range_on<T: FuzzTarget + ?Sized>(
 /// chunks were scheduled. Coverage merges word-wise, failure counters
 /// fold, and chunk-local corpora are absorbed **by move** into `corpus`
 /// (no crash-seed re-cloning), preserving absolute-mutant-index
-/// discovery order so the dedup keeps the same first-reproducer a
-/// sequential run keeps.
+/// discovery order so the dedup keeps the same first-reproducer
+/// whatever the chunk size.
 ///
 /// Returns the result plus the coverage the test case touched
-/// (baseline ∪ discovered), like the unchunked core did.
+/// (baseline ∪ discovered).
 ///
 /// # Panics
 /// Panics if `chunks` is empty — every test case produces at least one
@@ -301,37 +251,30 @@ pub fn assemble_test_case(
     (result, touched)
 }
 
-/// The whole-test-case convenience every sequential driver shares: one
-/// [`run_mutant_range_with`] over the full mutant range (one boot, one
-/// baseline measurement), assembled via [`assemble_test_case`]. Because
-/// the RNG law is per-index, this produces byte-identical results to
-/// any chunked execution of the same test case.
-pub fn run_test_case_with<F: TargetFactory>(
-    factory: &F,
-    corpus: &mut Corpus,
-    trace: &RecordedTrace,
-    testcase: &TestCase,
-) -> (TestCaseResult, CoverageMap) {
-    let chunk = run_mutant_range_with(
-        factory,
-        trace,
-        testcase,
-        MutantRange::whole(testcase.mutants),
-    );
-    assemble_test_case(testcase, std::iter::once(chunk), corpus)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mutation::SeedArea;
-    use crate::target::{record_trace, FaultyHvTarget};
+    use crate::parallel::{CampaignReport, ParallelCampaign};
+    use crate::target::{record_trace, FaultyHvTarget, IrisHvTarget};
     use crate::testcase::TestCase;
     use iris_guest::workloads::Workload;
     use iris_vtx::exit::ExitReason;
 
     fn boot_trace(n: usize) -> RecordedTrace {
         record_trace(Workload::OsBoot, n, 42)
+    }
+
+    /// One test case on the campaign engine's reference configuration:
+    /// one worker, one chunk spanning the whole cell.
+    fn run_cell<F: TargetFactory>(
+        factory: F,
+        trace: &RecordedTrace,
+        tc: &TestCase,
+    ) -> CampaignReport {
+        ParallelCampaign::with_factory(1, factory)
+            .with_chunk(usize::MAX)
+            .run_trace(trace, std::slice::from_ref(tc))
     }
 
     fn find_seed(trace: &RecordedTrace, reason: ExitReason) -> usize {
@@ -346,7 +289,6 @@ mod tests {
     fn vmcs_mutation_discovers_new_coverage_and_crashes() {
         let trace = boot_trace(120);
         let idx = find_seed(&trace, ExitReason::CrAccess);
-        let mut campaign = Campaign::new();
         let tc = TestCase {
             mutants: 150,
             ..TestCase::new(
@@ -357,7 +299,8 @@ mod tests {
                 3,
             )
         };
-        let r = campaign.run_test_case(&trace, &tc);
+        let report = run_cell(IrisHvTarget::default(), &trace, &tc);
+        let r = &report.results[0];
         assert!(r.baseline_lines > 0);
         assert!(r.new_lines > 0, "bit flips must open new paths");
         assert!(r.coverage_increase_percent > 0.0);
@@ -368,17 +311,17 @@ mod tests {
             r.failures
         );
         assert_eq!(
-            campaign.corpus.observed(),
+            report.corpus.observed(),
             r.failures.hv_crashes + r.failures.vm_crashes
         );
         // 150 VMCS flips hammer a handful of mutation sites; dedup keeps
         // one reproducer per (kind, site, console) signature.
-        let unique = campaign.corpus.unique();
+        let unique = report.corpus.unique();
         assert!(unique > 0);
         assert!(
-            (unique as u64) < campaign.corpus.observed(),
+            (unique as u64) < report.corpus.observed(),
             "a crashy site must not flood the corpus: {unique} unique of {}",
-            campaign.corpus.observed()
+            report.corpus.observed()
         );
     }
 
@@ -386,12 +329,12 @@ mod tests {
     fn gpr_mutation_is_mostly_harmless() {
         let trace = boot_trace(120);
         let idx = find_seed(&trace, ExitReason::Cpuid);
-        let mut campaign = Campaign::new();
         let tc = TestCase {
             mutants: 100,
             ..TestCase::new(Workload::OsBoot, idx, ExitReason::Cpuid, SeedArea::Gpr, 4)
         };
-        let r = campaign.run_test_case(&trace, &tc);
+        let report = run_cell(IrisHvTarget::default(), &trace, &tc);
+        let r = &report.results[0];
         // The paper: "In all other cases, the hypervisor is not affected
         // by the mutation" (GPR mutations outside CR ACCESS).
         assert_eq!(r.failures.hv_crashes, 0);
@@ -403,7 +346,6 @@ mod tests {
     fn crash_recovery_restores_the_target_state() {
         let trace = boot_trace(60);
         let idx = find_seed(&trace, ExitReason::CrAccess);
-        let mut campaign = Campaign::new();
         let tc = TestCase {
             mutants: 60,
             ..TestCase::new(
@@ -414,7 +356,8 @@ mod tests {
                 5,
             )
         };
-        let r = campaign.run_test_case(&trace, &tc);
+        let report = run_cell(IrisHvTarget::default(), &trace, &tc);
+        let r = &report.results[0];
         // Even with crashes along the way, all mutants were submitted.
         assert_eq!(r.failures.submitted, 60);
     }
@@ -433,21 +376,26 @@ mod tests {
                 11,
             )
         };
-        let factory = crate::target::IrisHvTarget::default();
-        let mut ref_corpus = Corpus::new();
-        let (ref_result, ref_cov) = run_test_case_with(&factory, &mut ref_corpus, &trace, &tc);
-        assert!(
-            ref_result.failures.hv_crashes + ref_result.failures.vm_crashes > 0,
-            "the reference run must exercise crash recovery"
-        );
-
-        for chunk in [1usize, 7, 16, 45, 100] {
+        let factory = IrisHvTarget::default();
+        let run = |chunk: usize| {
             let outputs: Vec<ChunkOutput> = tc
                 .chunks(chunk)
                 .map(|r| run_mutant_range_with(&factory, &trace, &tc, r))
                 .collect();
             let mut corpus = Corpus::new();
             let (result, cov) = assemble_test_case(&tc, outputs, &mut corpus);
+            (result, cov, corpus)
+        };
+        // The reference: one chunk spanning the whole cell (one boot,
+        // one baseline measurement).
+        let (ref_result, ref_cov, ref_corpus) = run(usize::MAX);
+        assert!(
+            ref_result.failures.hv_crashes + ref_result.failures.vm_crashes > 0,
+            "the reference run must exercise crash recovery"
+        );
+
+        for chunk in [1usize, 7, 16, 45, 100] {
+            let (result, cov, corpus) = run(chunk);
             assert_eq!(
                 serde_json::to_string(&result).unwrap(),
                 serde_json::to_string(&ref_result).unwrap(),
@@ -471,7 +419,7 @@ mod tests {
             ..TestCase::new(Workload::OsBoot, 0, trace.seeds[0].reason, SeedArea::Gpr, 1)
         };
         let _ = run_mutant_range_with(
-            &crate::target::IrisHvTarget::default(),
+            &IrisHvTarget::default(),
             &trace,
             &tc,
             MutantRange { start: 4, len: 2 },
@@ -489,14 +437,14 @@ mod tests {
             mutants: 150,
             ..TestCase::new(Workload::OsBoot, idx, ExitReason::Cpuid, SeedArea::Gpr, 4)
         };
-        let mut faulty = Campaign::with_factory(FaultyHvTarget::default());
-        let r = faulty.run_test_case(&trace, &tc);
+        let report = run_cell(FaultyHvTarget::default(), &trace, &tc);
+        let r = &report.results[0];
         assert!(
             r.failures.hv_crashes > 0,
             "planted CPUID bug must fire under GPR mutation: {:?}",
             r.failures
         );
-        assert!(faulty
+        assert!(report
             .corpus
             .crashes
             .iter()

@@ -8,9 +8,9 @@
 //! pairs to the aggregating thread over an `mpsc` channel, and an
 //! aggregator that re-establishes **item order** whatever the
 //! completion order was. This module extracts that core so the chunked
-//! campaign executor, the guided ensembles, and the generational
-//! shared-corpus guided engine ([`crate::guided::run_guided_shared`])
-//! all shard on one engine instead of three hand-rolled pools.
+//! campaign executor and the generational shared-corpus guided engine
+//! ([`crate::guided::run_guided_shared`]) shard on one engine instead
+//! of hand-rolled pools.
 //!
 //! The primitive is [`run_ordered`]: claim items off the cursor, run
 //! each through `work` on whichever worker stole it, and deliver every
@@ -570,18 +570,6 @@ where
     }
 }
 
-/// [`run_ordered`] collecting the outputs into a `Vec` in item order —
-/// the barrier form the guided ensembles use (one indivisible work item
-/// per instance, no per-worker state).
-pub fn run_indexed<T, R, F>(items: &[T], jobs: usize, work: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_indexed_ctx(items, jobs, || (), |(), index, item| work(index, item))
-}
-
 /// [`run_ordered`] with per-worker context, collecting the outputs into
 /// a `Vec` in item order — the generational guided engine's batch form:
 /// every worker builds one booted target and serves all the slots it
@@ -643,10 +631,15 @@ mod tests {
     fn outputs_come_back_in_item_order() {
         let items: Vec<usize> = (0..100).collect();
         for jobs in [1usize, 2, 8] {
-            let out = run_indexed(&items, jobs, |i, &v| {
-                assert_eq!(i, v);
-                v * 3
-            });
+            let out = run_indexed_ctx(
+                &items,
+                jobs,
+                || (),
+                |(), i, &v| {
+                    assert_eq!(i, v);
+                    v * 3
+                },
+            );
             assert_eq!(out, (0..100).map(|v| v * 3).collect::<Vec<_>>());
         }
     }
@@ -705,7 +698,7 @@ mod tests {
 
     #[test]
     fn empty_items_are_a_no_op() {
-        let out = run_indexed::<u32, u32, _>(&[], 4, |_, &v| v);
+        let out = run_indexed_ctx::<u32, u32, (), _, _>(&[], 4, || (), |(), _, &v| v);
         assert!(out.is_empty());
         let mut fired = false;
         run_ordered::<u32, u32, (), _, _, _>(&[], 4, || (), |(), _, &v| v, |_, _| fired = true);
@@ -715,14 +708,17 @@ mod tests {
     #[test]
     fn more_workers_than_items_is_fine() {
         let items = [7u64, 8, 9];
-        assert_eq!(run_indexed(&items, 64, |_, &v| v + 1), vec![8, 9, 10]);
+        assert_eq!(
+            run_indexed_ctx(&items, 64, || (), |(), _, &v| v + 1),
+            vec![8, 9, 10]
+        );
     }
 
     #[test]
     fn injected_panic_is_recovered_byte_identically() {
         quiet_injected_faults();
         let items: Vec<usize> = (0..50).collect();
-        let reference = run_indexed(&items, 1, |_, &v| v * 7);
+        let reference: Vec<usize> = items.iter().map(|v| v * 7).collect();
         for jobs in [1usize, 2, 4] {
             let plan = FaultPlan::new()
                 .panic_once_at(3)

@@ -2,59 +2,53 @@
 //! IRIS to make feasible an efficient coverage-guided fuzzer"*).
 //!
 //! A greybox loop on top of the replay engine: a corpus of VM seeds is
-//! scheduled round-robin; each scheduled seed is mutated with a rotating
-//! [`Strategy`]; mutants that discover coverage the campaign has never
-//! seen are promoted into the corpus (becoming future mutation bases),
-//! crashes are recorded, and the loop continues for a fixed budget —
-//! the classic AFL feedback cycle, with IRIS seeds as the input format
-//! and the hypervisor's basic-block bitmap as the feedback channel.
+//! scheduled round-robin; each scheduled seed is mutated with a
+//! rotating [`crate::strategies::Strategy`]; mutants that discover
+//! coverage the campaign has never seen are promoted into the corpus
+//! (becoming future mutation bases), crashes are recorded, and the loop
+//! continues for a fixed budget — the classic AFL feedback cycle, with
+//! IRIS seeds as the input format and the hypervisor's basic-block
+//! bitmap as the feedback channel.
 //!
-//! Three drivers share that cycle:
-//!
-//! * [`run_guided`] — the classic **sequential** loop: one long-lived
-//!   target, one RNG threaded through the budget, promotions take
-//!   effect immediately.
-//! * [`run_guided_parallel`] — **ensembles**: N independent sequential
-//!   instances (typically differing in `rng_seed`) sharded over the
-//!   worker pool; N jobs buy N disjoint corpora.
-//! * [`run_guided_shared`] — the **generational shared-corpus** engine:
-//!   one corpus, N workers, deterministic results for any worker
-//!   count. The budget is cut into *generations*
-//!   ([`GuidedConfig::generation`] slots each). Each generation
-//!   snapshots the corpus and the coverage map, expands
-//!   deterministically into an indexed batch of slots — slot `g` is a
-//!   pure function of `(corpus, rng_seed, g)` per the scheduling law
-//!   ([`crate::strategies::scheduled_mutant`], RNG =
-//!   `SmallRng(rng_seed ⊕ g)`) — and executes the batch on the shared
-//!   work-stealing executor ([`crate::executor`]): every worker builds
-//!   one private booted [`SlotContext`] and serves all the slots it
-//!   steals on it. Each slot **positions at its mutation base's
-//!   state** — `s1` plus the base's seed path ([`corpus_paths`]) — so
-//!   mutation resumes from where the promoted base left off instead of
-//!   restarting from `s1`; with a snapshot forest
-//!   ([`crate::target::TargetFactory::forest`]) that positioning is an
-//!   O(delta) restore of the base's pinned node, without one it is a
-//!   root reset plus path replay — **state-identical by the forest
-//!   law**, so the forest is a pure accelerator. At the **generation
-//!   barrier** the outcomes merge in slot order against the
-//!   generation-start coverage map: promotions append to the corpus in
-//!   slot order, crash records fold into the crash corpus in slot
-//!   order, and the growth curve records one point per generation.
-//!   Because the from-scratch positioning makes every slot outcome an
-//!   *exact* pure function of
-//!   `(corpus, paths, coverage snapshot, rng_seed, g)` — no residual
-//!   target state leaks between the slots a worker serves — and the
-//!   merge order is defined, the serialized [`GuidedResult`] is
-//!   **byte-identical for any `jobs` count and with the forest on or
-//!   off** — jobs=1 without a forest is the reference semantics. The
-//!   same law is what lets a panicked worker's lost slots be
-//!   re-executed byte-identically (see RELIABILITY.md).
+//! [`run_guided_shared`] is the one guided engine: a **generational
+//! shared corpus**, one corpus for N workers, with deterministic results
+//! for any worker count. The budget is cut into *generations*
+//! ([`GuidedConfig::generation`] slots each). Each generation snapshots
+//! the corpus and the coverage map, expands deterministically into an
+//! indexed batch of slots — slot `g` is a pure function of
+//! `(corpus, rng_seed, g)` per the scheduling law
+//! ([`crate::strategies::scheduled_mutant`], RNG =
+//! `SmallRng(rng_seed ⊕ g)`) — and executes the batch on the shared
+//! work-stealing executor ([`crate::executor`]): every worker builds one
+//! private booted [`SlotContext`] and serves all the slots it steals on
+//! it. Each slot **positions at its mutation base's state** — `s1` plus
+//! the base's seed path ([`corpus_paths`]) — so mutation resumes from
+//! where the promoted base left off instead of restarting from `s1`;
+//! with a snapshot forest ([`crate::target::TargetFactory::forest`])
+//! that positioning is an O(delta) restore of the base's pinned node,
+//! without one it is a root reset plus path replay — **state-identical
+//! by the forest law**, so the forest is a pure accelerator. At the
+//! **generation barrier** the outcomes merge in slot order against the
+//! generation-start coverage map: promotions append to the corpus in
+//! slot order, crash records fold into the crash corpus in slot order,
+//! and the growth curve records one point per generation. Because the
+//! from-scratch positioning makes every slot outcome an *exact* pure
+//! function of `(corpus, paths, coverage snapshot, rng_seed, g)` — no
+//! residual target state leaks between the slots a worker serves — and
+//! the merge order is defined, the serialized [`GuidedResult`] is
+//! **byte-identical for any `jobs` count and with the forest on or
+//! off**. `jobs=1` without a forest is the reference semantics, and the
+//! committed goldens under `tests/golden/` pin its bytes. The same law
+//! is what lets a panicked worker's lost slots be re-executed
+//! byte-identically (see RELIABILITY.md). An ensemble of independent
+//! runs is a loop of [`run_guided_shared_with`] calls at distinct
+//! `rng_seed`s.
 
 use crate::checkpoint::{GuidedCheckpoint, CHECKPOINT_VERSION};
 use crate::corpus::{Corpus, CrashRecord};
 use crate::executor::{ExecutorError, RunPolicy};
 use crate::failure::FailureStats;
-use crate::strategies::{mutate_with, scheduled_mutant, Strategy};
+use crate::strategies::scheduled_mutant;
 use crate::target::{BootPlan, CrashVerdict, FuzzTarget, IrisHvTarget, TargetFactory};
 use crate::testcase::TestCase;
 use iris_core::forest::StateId;
@@ -63,8 +57,6 @@ use iris_core::trace::RecordedTrace;
 use iris_guest::workloads::Workload;
 use iris_hv::coverage::CoverageMap;
 use iris_vtx::exit::ExitReason;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Result of a guided run.
@@ -82,9 +74,7 @@ pub struct GuidedResult {
     pub baseline_lines: u64,
     /// Failure statistics.
     pub failures: FailureStats,
-    /// Coverage growth: total lines after each sync point — each 1/16
-    /// of the budget for the sequential loop, each generation barrier
-    /// for the shared engine.
+    /// Coverage growth: total lines after each generation barrier.
     pub growth: Vec<u64>,
     /// The promoted mutants, in promotion order — the shared-corpus
     /// determinism guarantee covers the corpus *order*, so the
@@ -104,8 +94,7 @@ pub struct GuidedConfig {
     pub rng_seed: u64,
     /// Dummy-VM RAM.
     pub ram_bytes: u64,
-    /// Slots per generation of the shared-corpus engine (clamped to
-    /// ≥ 1; the sequential loop ignores it). Smaller generations fold
+    /// Slots per generation (clamped to ≥ 1). Smaller generations fold
     /// discoveries back into the scheduling corpus sooner; larger ones
     /// expose more parallelism between sync points.
     pub generation: u64,
@@ -123,11 +112,10 @@ impl Default for GuidedConfig {
 }
 
 /// The initial corpus: the first seed of each distinct exit reason —
-/// the trace's "dictionary" of behaviours. Shared by every driver, and
-/// public because distributed workers rebuild the scheduling corpus
-/// locally as `initial_corpus(trace) ++ promoted` instead of shipping
-/// it over the wire (the trace re-records deterministically from the
-/// job spec).
+/// the trace's "dictionary" of behaviours. Public because distributed
+/// workers rebuild the scheduling corpus locally as
+/// `initial_corpus(trace) ++ promoted` instead of shipping it over the
+/// wire (the trace re-records deterministically from the job spec).
 #[must_use]
 pub fn initial_corpus(trace: &RecordedTrace) -> Vec<VmSeed> {
     let mut corpus: Vec<VmSeed> = Vec::new();
@@ -137,27 +125,6 @@ pub fn initial_corpus(trace: &RecordedTrace) -> Vec<VmSeed> {
         }
     }
     corpus
-}
-
-/// The baseline pass every driver shares: submit the initial corpus
-/// once on a fresh booted target and return the union of its coverage
-/// (resetting on crashes). The shared engine runs this outside the
-/// batch, so its baseline is identical to the sequential loop's for
-/// every `jobs` count.
-fn baseline_coverage<F: TargetFactory>(
-    target: &mut F::Target<'_>,
-    corpus: &[VmSeed],
-) -> CoverageMap {
-    let mut seen = CoverageMap::new();
-    for seed in corpus {
-        let out = target.submit(seed);
-        seen.merge(&out.coverage);
-        if out.crash.is_some() {
-            // lint:allow(slot-reset-law) -- sequential corpus warm-up outside the slot protocol: this reset is crash recovery, not slot state; run_slot resets unconditionally
-            target.reset();
-        }
-    }
-    seen
 }
 
 /// The workload a trace was recorded from, by label (crash records name
@@ -170,12 +137,11 @@ fn workload_of(trace: &RecordedTrace) -> Workload {
         .unwrap_or(Workload::OsBoot)
 }
 
-/// The baseline pass over an explicit factory: build one private booted
-/// target and run the initial corpus through `baseline_coverage`'s
-/// sequential warm-up. The shared engine (and the `crates/dist`
-/// coordinator, which runs this on the serving host) measures the
-/// baseline *outside* the batch, so it is identical for every jobs
-/// count and every fleet size.
+/// The baseline pass: build one private booted target, submit the
+/// initial corpus once, and return the union of its coverage (resetting
+/// on crashes). The engine (and the `crates/dist` coordinator, which
+/// runs this on the serving host) measures the baseline *outside* the
+/// batch, so it is identical for every jobs count and every fleet size.
 #[must_use]
 pub fn measure_baseline<F: TargetFactory>(
     factory: &F,
@@ -184,7 +150,16 @@ pub fn measure_baseline<F: TargetFactory>(
 ) -> CoverageMap {
     let mut target = factory.build(BootPlan::post_boot(trace));
     target.boot();
-    baseline_coverage::<F>(&mut target, corpus)
+    let mut seen = CoverageMap::new();
+    for seed in corpus {
+        let out = target.submit(seed);
+        seen.merge(&out.coverage);
+        if out.crash.is_some() {
+            // lint:allow(slot-reset-law) -- corpus warm-up outside the slot protocol: this reset is crash recovery, not slot state; run_slot resets unconditionally
+            target.reset();
+        }
+    }
+    seen
 }
 
 /// The synthetic test case a guided crash record carries: `seed_index`
@@ -203,116 +178,7 @@ fn guided_testcase(
     }
 }
 
-/// Run the coverage-guided loop seeded from a recorded trace on the
-/// stock backend, sized per `config.ram_bytes`.
-///
-/// The initial corpus is a sample of the trace's seeds (one per distinct
-/// exit reason — the trace's "dictionary" of behaviours).
-#[must_use]
-pub fn run_guided(trace: &RecordedTrace, config: GuidedConfig) -> GuidedResult {
-    run_guided_with(&IrisHvTarget::with_ram(config.ram_bytes), trace, config)
-}
-
-/// [`run_guided`] over an explicit backend factory (the factory's
-/// dummy-VM sizing wins over `config.ram_bytes`).
-#[must_use]
-pub fn run_guided_with<F: TargetFactory>(
-    factory: &F,
-    trace: &RecordedTrace,
-    config: GuidedConfig,
-) -> GuidedResult {
-    // lint:allow(rng-law) -- the guided driver's scheduling RNG is seeded from config.rng_seed, a recorded input; mutant bytes still flow through mutation::mutant_rng
-    let mut rng = SmallRng::seed_from_u64(config.rng_seed);
-    let workload = workload_of(trace);
-
-    let mut corpus = initial_corpus(trace);
-    if corpus.is_empty() {
-        return GuidedResult::default();
-    }
-
-    // One long-lived target: `s1` is the post-boot snapshot, so crash
-    // recovery ([`FuzzTarget::reset`]) restores it in place, SUT-fatal
-    // crashes included.
-    let mut target = factory.build(BootPlan::post_boot(trace));
-    target.boot();
-
-    // Baseline: run the initial corpus once.
-    let mut seen = baseline_coverage::<F>(&mut target, &corpus);
-    let baseline_lines = seen.lines();
-
-    let mut failures = FailureStats::default();
-    let mut promotions = 0u64;
-    let mut promoted = Vec::new();
-    let mut crashes = Corpus::new();
-    let mut growth = Vec::new();
-    let checkpoint = (config.budget / 16).max(1);
-
-    for i in 0..config.budget {
-        let base_idx = (i % corpus.len() as u64) as usize;
-        // lint:allow(panic-path-audit) -- the index is reduced modulo Strategy::ALL.len() in the expression itself
-        let strategy = Strategy::ALL[(i as usize / corpus.len()) % Strategy::ALL.len()];
-        let area = if rng.gen_bool(0.7) {
-            crate::mutation::SeedArea::Vmcs
-        } else {
-            crate::mutation::SeedArea::Gpr
-        };
-        let donor_idx = rng.gen_range(0..corpus.len());
-        let (mutant, reason) = {
-            // lint:allow(panic-path-audit) -- base_idx is i % corpus.len(), in bounds by construction
-            let base = &corpus[base_idx];
-            // lint:allow(panic-path-audit) -- donor_idx is drawn from gen_range(0..corpus.len()), in bounds by construction
-            let donor = &corpus[donor_idx];
-            (
-                mutate_with(base, area, strategy, Some(donor), &mut rng),
-                base.reason,
-            )
-        };
-
-        let out = target.submit(&mutant);
-        failures.record_kind(out.crash.as_ref().map(|v| v.kind));
-        if let Some(verdict) = &out.crash {
-            crashes.push(CrashRecord {
-                testcase: guided_testcase(workload, base_idx, reason, area, config),
-                mutant_index: i as usize,
-                seed: mutant.clone(),
-                mutation: None,
-                kind: verdict.kind,
-                console: verdict.console.clone(),
-            });
-        }
-
-        let new_lines = seen.new_lines_from(&out.coverage);
-        if new_lines > 0 {
-            seen.merge(&out.coverage);
-            // Feedback: interesting mutants join the corpus.
-            promoted.push(mutant.clone());
-            corpus.push(mutant);
-            promotions += 1;
-        }
-
-        if out.crash.is_some() {
-            // lint:allow(slot-reset-law) -- sequential reference path, not a slot: conditional reset is crash recovery; the parallel slot path resets unconditionally in run_slot
-            target.reset();
-        }
-        if (i + 1) % checkpoint == 0 {
-            growth.push(seen.lines());
-        }
-    }
-
-    GuidedResult {
-        executions: config.budget,
-        corpus_size: corpus.len(),
-        promotions,
-        total_lines: seen.lines(),
-        baseline_lines,
-        failures,
-        growth,
-        promoted,
-        crashes,
-    }
-}
-
-/// Progress snapshot handed to [`run_guided_shared_observed`]'s
+/// Progress snapshot handed to [`run_guided_shared_session`]'s
 /// observer at every generation barrier, after the merge — drive
 /// progress lines, persist the crash corpus incrementally, or build a
 /// durable checkpoint ([`GenerationProgress::checkpoint`]); pair with
@@ -376,7 +242,7 @@ impl GenerationProgress<'_> {
 /// Options for [`run_guided_shared_session`]: where to resume from and
 /// how to react to worker panics and stop requests. The default is a
 /// fresh, uninterruptible run under the executor's default restart
-/// budget — exactly [`run_guided_shared_observed`]'s behavior.
+/// budget — exactly [`run_guided_shared_with`]'s behavior.
 #[derive(Debug, Default)]
 pub struct SharedRunOptions<'a> {
     /// Executor fault policy: restart budget, cooperative stop flag,
@@ -875,6 +741,11 @@ pub fn run_guided_shared(trace: &RecordedTrace, config: GuidedConfig, jobs: usiz
 }
 
 /// [`run_guided_shared`] over an explicit backend factory.
+///
+/// # Panics
+/// Panics if worker panics exhaust the default executor restart budget
+/// (a persistent crash-loop) — use [`run_guided_shared_session`] for
+/// the typed error, an observer, resume or a stop flag.
 #[must_use]
 pub fn run_guided_shared_with<F: TargetFactory>(
     factory: &F,
@@ -882,36 +753,13 @@ pub fn run_guided_shared_with<F: TargetFactory>(
     config: GuidedConfig,
     jobs: usize,
 ) -> GuidedResult {
-    run_guided_shared_observed(factory, trace, config, jobs, |_| {})
-}
-
-/// [`run_guided_shared_with`] with an observer called at every
-/// generation barrier (after the merge) — the hook `iris guided
-/// --corpus` persists the crash corpus through.
-///
-/// # Panics
-/// Panics if worker panics exhaust the default executor restart budget
-/// (a persistent crash-loop) — use [`run_guided_shared_session`] for
-/// the typed error.
-#[must_use]
-pub fn run_guided_shared_observed<F, O>(
-    factory: &F,
-    trace: &RecordedTrace,
-    config: GuidedConfig,
-    jobs: usize,
-    observe: O,
-) -> GuidedResult
-where
-    F: TargetFactory,
-    O: FnMut(GenerationProgress<'_>),
-{
     match run_guided_shared_session(
         factory,
         trace,
         config,
         jobs,
         SharedRunOptions::default(),
-        observe,
+        |_| {},
     ) {
         Ok(result) => result,
         // The default options carry no stop flag, so the only
@@ -922,7 +770,10 @@ where
 }
 
 /// The fault-tolerant form of the generational shared-corpus engine:
-/// [`run_guided_shared_observed`] plus [`SharedRunOptions`] — resume
+/// [`run_guided_shared_with`] plus an observer called at every
+/// generation barrier (after the merge; the hook `iris guided
+/// --corpus` persists the crash corpus through) and
+/// [`SharedRunOptions`] — resume
 /// from a generation-barrier checkpoint, absorb worker panics under an
 /// explicit restart budget, and honour a cooperative stop flag.
 ///
@@ -1025,42 +876,6 @@ where
     Ok(engine.result())
 }
 
-/// Run an ensemble of guided campaigns, sharded over `jobs` worker
-/// threads — the §IX figure reproduction at scale: many independent
-/// feedback loops (one per config, typically differing in `rng_seed`)
-/// instead of one, using every available core.
-///
-/// Each instance's feedback loop is the sequential [`run_guided`]
-/// (promotions feed later scheduling decisions immediately), so
-/// parallelism lives *across* instances: each is self-contained and
-/// deterministic in its config, and results come back in config order
-/// (the shared executor's [`crate::executor::run_indexed`]), so the
-/// returned vector is identical for any `jobs` value. N jobs buy N
-/// disjoint corpora; for N workers on **one** corpus, use
-/// [`run_guided_shared`].
-#[must_use]
-pub fn run_guided_parallel(
-    trace: &RecordedTrace,
-    configs: &[GuidedConfig],
-    jobs: usize,
-) -> Vec<GuidedResult> {
-    crate::executor::run_indexed(configs, jobs, |_, config| run_guided(trace, *config))
-}
-
-/// [`run_guided_parallel`] over an explicit backend factory, shared by
-/// every worker (each instance still builds its own private target).
-#[must_use]
-pub fn run_guided_parallel_with<F: TargetFactory>(
-    factory: &F,
-    trace: &RecordedTrace,
-    configs: &[GuidedConfig],
-    jobs: usize,
-) -> Vec<GuidedResult> {
-    crate::executor::run_indexed(configs, jobs, |_, config| {
-        run_guided_with(factory, trace, *config)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1074,14 +889,19 @@ mod tests {
     #[test]
     fn guided_loop_discovers_and_promotes() {
         let trace = boot_trace();
-        let r = run_guided(
+        // 16 generations of 25 slots: a growth point per 1/16 of the
+        // budget.
+        let r = run_guided_shared(
             &trace,
             GuidedConfig {
                 budget: 400,
+                generation: 25,
                 ..GuidedConfig::default()
             },
+            1,
         );
         assert_eq!(r.executions, 400);
+        assert_eq!(r.growth.len(), 16);
         assert!(r.total_lines > r.baseline_lines, "{r:?}");
         assert!(r.promotions > 0, "feedback must promote mutants");
         assert!(r.corpus_size > 5);
@@ -1097,8 +917,8 @@ mod tests {
             budget: 150,
             ..GuidedConfig::default()
         };
-        let a = run_guided(&trace, cfg);
-        let b = run_guided(&trace, cfg);
+        let a = run_guided_shared(&trace, cfg, 1);
+        let b = run_guided_shared(&trace, cfg, 1);
         assert_eq!(a.total_lines, b.total_lines);
         assert_eq!(a.promotions, b.promotions);
         assert_eq!(a.failures, b.failures);
@@ -1111,12 +931,13 @@ mod tests {
     #[test]
     fn guided_loop_records_crash_corpus() {
         let trace = boot_trace();
-        let r = run_guided(
+        let r = run_guided_shared(
             &trace,
             GuidedConfig {
                 budget: 400,
                 ..GuidedConfig::default()
             },
+            1,
         );
         assert_eq!(
             r.crashes.observed(),
@@ -1134,9 +955,9 @@ mod tests {
     #[test]
     fn empty_trace_is_a_default_result_in_both_modes() {
         let empty = RecordedTrace::new("empty");
-        let sequential = run_guided(&empty, GuidedConfig::default());
-        let shared = run_guided_shared(&empty, GuidedConfig::default(), 2);
-        for r in [&sequential, &shared] {
+        let one = run_guided_shared(&empty, GuidedConfig::default(), 1);
+        let two = run_guided_shared(&empty, GuidedConfig::default(), 2);
+        for r in [&one, &two] {
             assert_eq!(r.executions, 0);
             assert_eq!(r.corpus_size, 0);
             assert!(r.growth.is_empty());
@@ -1145,8 +966,8 @@ mod tests {
         }
         // Both are exactly the derived zero value.
         let zero = serde_json::to_string(&GuidedResult::default()).unwrap();
-        assert_eq!(serde_json::to_string(&sequential).unwrap(), zero);
-        assert_eq!(serde_json::to_string(&shared).unwrap(), zero);
+        assert_eq!(serde_json::to_string(&one).unwrap(), zero);
+        assert_eq!(serde_json::to_string(&two).unwrap(), zero);
     }
 
     #[test]
@@ -1216,35 +1037,5 @@ mod tests {
         assert_eq!(r.executions, 70);
         assert_eq!(r.failures.submitted, 70);
         assert_eq!(r.growth.len(), 3);
-    }
-
-    #[test]
-    fn guided_ensemble_is_worker_count_independent() {
-        let trace = boot_trace();
-        let configs: Vec<GuidedConfig> = (0..4)
-            .map(|i| GuidedConfig {
-                budget: 80,
-                rng_seed: 100 + i,
-                ..GuidedConfig::default()
-            })
-            .collect();
-        let snapshot = |results: &[GuidedResult]| {
-            results
-                .iter()
-                .map(|r| serde_json::to_string(r).unwrap())
-                .collect::<Vec<_>>()
-        };
-        let one = run_guided_parallel(&trace, &configs, 1);
-        let four = run_guided_parallel(&trace, &configs, 4);
-        assert_eq!(one.len(), 4);
-        assert_eq!(snapshot(&one), snapshot(&four));
-        // Each instance equals its standalone sequential run.
-        for (cfg, r) in configs.iter().zip(&one) {
-            let solo = run_guided(&trace, *cfg);
-            assert_eq!(
-                serde_json::to_string(&solo).unwrap(),
-                serde_json::to_string(r).unwrap()
-            );
-        }
     }
 }

@@ -14,18 +14,19 @@
 //! * [`strategies`] — extended greybox mutations (havoc, arith,
 //!   interesting values, splice) per the paper's §IX future work.
 //! * [`guided`] — the §IX coverage-guided feedback loop over the
-//!   replay engine: the classic sequential loop, independent
-//!   ensembles, and the generational shared-corpus parallel engine
-//!   ([`guided::run_guided_shared`]).
+//!   replay engine: the generational shared-corpus engine
+//!   ([`guided::run_guided_shared`]), whose `jobs=1` run is the
+//!   reference.
 //! * [`testcase`] — `(W, VM_seed_R, A, M)` test-case planning.
-//! * [`campaign`] — baseline, fuzzing sequence, crash recovery, all
-//!   through [`FuzzTarget`].
+//! * [`campaign`] — the per-chunk core: baseline, fuzzing sequence,
+//!   crash recovery, all through [`FuzzTarget`].
 //! * [`executor`] — the shared work-stealing executor (atomic-cursor
 //!   claim, per-worker context, index-ordered delivery) every parallel
 //!   driver runs on.
-//! * [`parallel`] — sharded multi-worker campaign execution with
-//!   deterministic (worker-count-independent) aggregation; workers
-//!   build private target instances from a shared factory.
+//! * [`parallel`] — the campaign engine: sharded multi-worker
+//!   execution with deterministic (worker-count-independent)
+//!   aggregation, `jobs=1` being the reference; workers build private
+//!   target instances from a shared factory.
 //! * [`failure`] — VM-crash vs hypervisor-crash classification.
 //! * [`corpus`] — reproducible, signature-deduplicated crash records.
 //! * [`table1`] — assembly of the paper's Table I.
@@ -59,9 +60,10 @@
 //! }
 //! ```
 //!
-//! The [`Campaign`] / [`ParallelCampaign`] / [`guided`] / [`Table1`]
-//! drivers wrap exactly this loop (plus corpus bookkeeping) and accept
-//! any factory, so a new backend only implements the trait pair.
+//! Two drivers wrap exactly this loop (plus corpus bookkeeping), one
+//! engine each: [`ParallelCampaign`] (which [`Table1`] plans for) and
+//! the [`guided`] shared-corpus engine. Both accept any factory, so a
+//! new backend only implements the trait pair.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -79,15 +81,14 @@ pub mod table1;
 pub mod target;
 pub mod testcase;
 
-pub use campaign::{Campaign, TestCaseResult};
+pub use campaign::TestCaseResult;
 pub use checkpoint::{atomic_write_json, CampaignCheckpoint, GuidedCheckpoint, JsonWriter};
 pub use corpus::{Corpus, CrashRecord};
 pub use executor::{ExecutorError, FaultPlan, RunPolicy};
 pub use failure::{FailureKind, FailureStats};
 pub use guided::{
-    run_guided, run_guided_parallel, run_guided_parallel_with, run_guided_shared,
-    run_guided_shared_observed, run_guided_shared_session, run_guided_shared_with, run_guided_with,
-    GenerationProgress, GuidedConfig, GuidedResult, SharedRunOptions,
+    run_guided_shared, run_guided_shared_session, run_guided_shared_with, GenerationProgress,
+    GuidedConfig, GuidedResult, SharedRunOptions,
 };
 pub use mutation::{mutate, AppliedMutation, SeedArea};
 pub use parallel::{available_jobs, CampaignReport, CampaignRunOptions, ParallelCampaign};

@@ -1,10 +1,10 @@
 //! Parallel sharded campaign execution with sub-test-case work stealing.
 //!
 //! The paper's PoC fuzzer (§VII) submits test cases strictly
-//! sequentially; [`crate::campaign::Campaign`] inherits that. A campaign
-//! plan, however, is embarrassingly parallel — and since the per-range
-//! RNG law ([`crate::mutation::mutant_rng`]) made the mutant stream
-//! partition-invariant, so is every test case's mutant range.
+//! sequentially. A campaign plan, however, is embarrassingly parallel —
+//! and since the per-range RNG law ([`crate::mutation::mutant_rng`])
+//! made the mutant stream partition-invariant, so is every test case's
+//! mutant range.
 //! [`ParallelCampaign`] therefore steals work at **chunk** granularity
 //! ([`TestCase::chunks`], default [`crate::testcase::DEFAULT_CHUNK`]):
 //! the plan is precomputed into a flat chunk list in
@@ -42,12 +42,13 @@
 //! defined order, and folding is ordered by plan index — so the report
 //! (results, merged coverage, folded stats, deduplicated corpus) is
 //! byte-identical for **any** `(jobs, chunk)` combination and forest
-//! configuration, and identical to a sequential
-//! [`crate::campaign::Campaign`] loop over the same plan.
+//! configuration. [`ParallelCampaign`] is the only campaign engine:
+//! `jobs=1` is the reference (`with_chunk(usize::MAX)` makes it the
+//! paper's one-boot-per-test-case loop), and the committed goldens under
+//! `tests/golden/` pin its report bytes.
 
 use crate::campaign::{
-    assemble_test_case, run_mutant_range_on, run_mutant_range_with, run_test_case_with,
-    ChunkOutput, TestCaseResult,
+    assemble_test_case, run_mutant_range_on, run_mutant_range_with, ChunkOutput, TestCaseResult,
 };
 use crate::checkpoint::CampaignCheckpoint;
 use crate::corpus::Corpus;
@@ -276,7 +277,8 @@ impl Default for ParallelCampaign {
 
 impl ParallelCampaign {
     /// A stock-backend executor with an explicit worker count (clamped
-    /// to ≥ 1) and the sequential campaign's dummy-VM sizing.
+    /// to ≥ 1) and the default dummy-VM sizing
+    /// ([`crate::campaign::DEFAULT_RAM_BYTES`]).
     #[must_use]
     pub fn new(jobs: usize) -> Self {
         Self::with_factory(jobs, IrisHvTarget::default())
@@ -572,38 +574,6 @@ impl<F: TargetFactory> ParallelCampaign<F> {
             Err(err) => Err(err),
         }
     }
-
-    /// The sequential reference: one shared corpus over the plan, in
-    /// order — exactly what a pre-sharding driver did. The parallel path
-    /// must produce a byte-identical report to this.
-    #[must_use]
-    pub fn run_sequential_with(
-        factory: &F,
-        traces: &BTreeMap<Workload, RecordedTrace>,
-        plan: &[TestCase],
-    ) -> CampaignReport {
-        let mut report = CampaignReport::new();
-        for tc in plan {
-            // lint:allow(panic-path-audit) -- the sequential reference mirrors run_observed's contract: a plan workload without a trace is a caller bug worth a panic
-            let trace = &traces[&tc.workload];
-            let (result, coverage) = run_test_case_with(factory, &mut report.corpus, trace, tc);
-            report.fold_assembled(result, &coverage);
-        }
-        report
-    }
-}
-
-impl ParallelCampaign {
-    /// [`ParallelCampaign::run_sequential_with`] on the stock backend
-    /// with explicit dummy-VM sizing.
-    #[must_use]
-    pub fn run_sequential(
-        traces: &BTreeMap<Workload, RecordedTrace>,
-        plan: &[TestCase],
-        ram_bytes: u64,
-    ) -> CampaignReport {
-        Self::run_sequential_with(&IrisHvTarget::with_ram(ram_bytes), traces, plan)
-    }
 }
 
 #[cfg(test)]
@@ -649,15 +619,20 @@ mod tests {
         let mut traces = BTreeMap::new();
         traces.insert(iris_guest::workloads::Workload::OsBoot, trace);
 
-        let sequential =
-            ParallelCampaign::run_sequential(&traces, &plan, crate::campaign::DEFAULT_RAM_BYTES);
-        let baseline = serde_json::to_string(&sequential).unwrap();
+        // The reference: jobs=1 with one chunk per test case — one boot
+        // and one baseline per cell, folded in plan order. (The CLI
+        // goldens under tests/golden/ pin the same engine's bytes across
+        // commits.)
+        let reference = ParallelCampaign::new(1)
+            .with_chunk(usize::MAX)
+            .run(&traces, &plan);
+        let baseline = serde_json::to_string(&reference).unwrap();
         for jobs in [1usize, 2, 8] {
             let report = ParallelCampaign::new(jobs).run(&traces, &plan);
             assert_eq!(
                 serde_json::to_string(&report).unwrap(),
                 baseline,
-                "jobs={jobs} diverged from the sequential reference"
+                "jobs={jobs} diverged from the jobs=1 reference"
             );
         }
     }
@@ -666,8 +641,8 @@ mod tests {
     fn report_is_byte_identical_across_jobs_and_chunk_sizes() {
         // The acceptance cross product: jobs × chunk, including chunk=1
         // (every mutant its own steal) and whole-cell chunks, against
-        // the sequential reference. The plan keeps seed indices small so
-        // the per-chunk boot prefix stays cheap.
+        // the jobs=1 whole-cell reference. The plan keeps seed indices
+        // small so the per-chunk boot prefix stays cheap.
         let trace = boot_trace(120);
         let mut plan = Vec::new();
         for (reason, area) in [
@@ -694,11 +669,12 @@ mod tests {
         let mut traces = BTreeMap::new();
         traces.insert(iris_guest::workloads::Workload::OsBoot, trace);
 
-        let sequential =
-            ParallelCampaign::run_sequential(&traces, &plan, crate::campaign::DEFAULT_RAM_BYTES);
-        let baseline = serde_json::to_string(&sequential).unwrap();
+        let reference = ParallelCampaign::new(1)
+            .with_chunk(usize::MAX)
+            .run(&traces, &plan);
+        let baseline = serde_json::to_string(&reference).unwrap();
         assert!(
-            sequential.corpus.observed() > 0,
+            reference.corpus.observed() > 0,
             "the cross-product plan must exercise crash recovery"
         );
         for jobs in [1usize, 2, 8] {
@@ -709,7 +685,7 @@ mod tests {
                 assert_eq!(
                     serde_json::to_string(&report).unwrap(),
                     baseline,
-                    "jobs={jobs} chunk={chunk} diverged from the sequential reference"
+                    "jobs={jobs} chunk={chunk} diverged from the jobs=1 reference"
                 );
             }
         }
@@ -786,11 +762,15 @@ mod tests {
         let plan = plan_over(&trace, 25);
         let report = ParallelCampaign::new(4).run_trace(&trace, &plan);
 
-        // Re-run sequentially, unioning per-test-case maps by hand.
-        let mut campaign = crate::campaign::Campaign::new();
+        // Re-run each test case alone at jobs=1, unioning the per-test-
+        // case maps by hand.
         let maps: Vec<CoverageMap> = plan
             .iter()
-            .map(|tc| campaign.run_test_case_cov(&trace, tc).1)
+            .map(|tc| {
+                ParallelCampaign::new(1)
+                    .run_trace(&trace, std::slice::from_ref(tc))
+                    .coverage
+            })
             .collect();
         assert_eq!(report.coverage, CoverageMap::merged(maps.iter()));
         assert!(report.coverage.lines() > 0);

@@ -324,17 +324,18 @@ proptest! {
     /// The per-range RNG law, stated as a property: for an **arbitrary**
     /// partition of a test case's mutant range into chunks, the merged
     /// `TestCaseResult` (coverage, stats, corpus — compared on
-    /// serialized JSON) is byte-identical to the unchunked sequential
-    /// run. This is the invariant `ParallelCampaign`'s chunk-granular
-    /// work stealing rests on.
+    /// serialized JSON) is byte-identical to the campaign engine's
+    /// whole-cell `jobs=1` run. This is the invariant `ParallelCampaign`'s
+    /// chunk-granular work stealing rests on.
     #[test]
     fn chunked_partition_matches_unchunked(
         lens in proptest::collection::vec(1usize..12, 1..8),
         vmcs_area in any::<bool>(),
         rng_seed in any::<u64>(),
     ) {
-        use iris_fuzzer::campaign::{assemble_test_case, run_mutant_range_with, run_test_case_with};
+        use iris_fuzzer::campaign::{assemble_test_case, run_mutant_range_with};
         use iris_fuzzer::corpus::Corpus;
+        use iris_fuzzer::parallel::ParallelCampaign;
         use iris_fuzzer::target::IrisHvTarget;
         use iris_fuzzer::testcase::{MutantRange, TestCase};
 
@@ -361,9 +362,10 @@ proptest! {
         };
         let factory = IrisHvTarget::default();
 
-        // Unchunked sequential reference.
-        let mut ref_corpus = Corpus::new();
-        let (ref_result, ref_cov) = run_test_case_with(&factory, &mut ref_corpus, trace, &tc);
+        // Unchunked reference: one worker, one chunk spanning the cell.
+        let reference = ParallelCampaign::with_factory(1, factory)
+            .with_chunk(usize::MAX)
+            .run_trace(trace, std::slice::from_ref(&tc));
 
         // The arbitrary partition, chunk by chunk on fresh targets.
         let mut outputs = Vec::new();
@@ -377,12 +379,12 @@ proptest! {
 
         prop_assert_eq!(
             serde_json::to_string(&result).expect("serializes"),
-            serde_json::to_string(&ref_result).expect("serializes")
+            serde_json::to_string(&reference.results[0]).expect("serializes")
         );
-        prop_assert_eq!(&cov, &ref_cov);
+        prop_assert_eq!(&cov, &reference.coverage);
         prop_assert_eq!(
             serde_json::to_string(&corpus).expect("serializes"),
-            serde_json::to_string(&ref_corpus).expect("serializes")
+            serde_json::to_string(&reference.corpus).expect("serializes")
         );
     }
 }
