@@ -42,12 +42,9 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use iris_bench::experiments::record_workload;
-use iris_core::forest::ForestConfig;
 use iris_core::replay::ReplayEngine;
 use iris_core::snapshot::Snapshot;
-use iris_fuzzer::target::{
-    Backend, BootPlan, ConfiguredBackend, FuzzTarget, IrisHvTarget, TargetFactory,
-};
+use iris_fuzzer::target::{BootPlan, FuzzTarget, IrisHvTarget, TargetFactory};
 use iris_guest::runner::fast_forward_boot;
 use iris_guest::workloads::Workload;
 use iris_hv::hypervisor::Hypervisor;
@@ -192,8 +189,7 @@ fn bench_replay(c: &mut Criterion) {
         }
 
         {
-            let factory =
-                ConfiguredBackend::new(Backend::Iris).with_forest(Some(ForestConfig::default()));
+            let factory = IrisHvTarget::default();
             let mut target = factory.build(BootPlan {
                 trace: &trace,
                 prefix: 0,

@@ -28,7 +28,7 @@ use iris_fuzzer::checkpoint::{
 use iris_fuzzer::corpus::{Corpus, CorpusWriter};
 use iris_fuzzer::executor::{ExecutorError, RunPolicy};
 use iris_fuzzer::guided::{
-    run_guided_shared_session, GuidedConfig, GuidedResult, SharedRunOptions,
+    initial_corpus, run_guided_shared_session, GuidedConfig, GuidedResult, SharedRunOptions,
 };
 use iris_fuzzer::mutation::SeedArea;
 use iris_fuzzer::parallel::{available_jobs, CampaignReport, CampaignRunOptions, ParallelCampaign};
@@ -94,8 +94,8 @@ USAGE:
     iris record   <workload> [--exits N] [--seed S] [--out FILE.json]
     iris replay   <workload> [--exits N] [--seed S] [--cold] [--memory]
     iris fuzz     <workload> [--exits N] [--seed S] [--mutants M] [--area vmcs|gpr] [--reason R] [--jobs N] [--chunk C] [--target T]
-    iris campaign <workload> [--exits N] [--seed S] [--mutants M] [--jobs N] [--chunk C] [--target T] [--forest] [--forest-cap N] [--json FILE] [--corpus FILE] [--checkpoint FILE] [--resume FILE]
-    iris guided   <workload> [--exits N] [--seed S] [--budget B] [--gen G] [--jobs N] [--target T] [--forest] [--forest-cap N] [--json FILE] [--corpus FILE] [--checkpoint FILE] [--resume FILE]
+    iris campaign <workload> [--exits N] [--seed S] [--mutants M] [--jobs N] [--chunk C] [--target T] [--forest-cap N] [--json FILE] [--corpus FILE] [--checkpoint FILE] [--resume FILE]
+    iris guided   <workload> [--exits N] [--seed S] [--budget B] [--gen G] [--jobs N] [--target T] [--forest-cap N] [--json FILE] [--corpus FILE] [--checkpoint FILE] [--resume FILE]
     iris targets
     iris report   <FILE.json>
     iris lint     [--root PATH] [--json FILE]
@@ -131,14 +131,14 @@ promotions, corpus order, growth curve, crashes — is byte-identical for
 any N (`--json` writes it for diffing). `--corpus` persists the crash
 corpus per generation through the background writer.
 
-`--forest` turns on the copy-on-write snapshot forest (PERFORMANCE.md):
-targets pin post-execution state nodes and restore to them in O(delta)
-instead of replaying the whole seed prefix from s1. Reports are
-byte-identical with the forest on or off, for any --jobs/--chunk — the
-flag changes replay cost only. `--forest-cap N` bounds the live node
-count (default: 64; LRU nodes collapse into their parents). Forest
-mode covers `campaign` and `guided`. Checkpoint fingerprints ignore the
-flag, so a resume may switch it freely (RELIABILITY.md).
+`campaign` and `guided` reset and position every target through a
+copy-on-write snapshot forest (PERFORMANCE.md): targets pin seed-prefix
+and corpus-entry states and restore to them in O(delta) instead of
+replaying the whole seed prefix from s1. `--forest-cap N` bounds the
+live node count (default: 64; LRU nodes collapse into their parents).
+Reports are byte-identical for any cap, --jobs and --chunk — the cap
+changes replay cost only. Checkpoint fingerprints ignore it, so a
+resume may change it freely (RELIABILITY.md).
 
 Fault tolerance: worker panics are absorbed — the lost work is re-run
 byte-identically on a fresh worker context, up to a restart budget.
@@ -526,26 +526,18 @@ fn parse_chunk(args: &[String]) -> Result<usize, CliError> {
     Ok(chunk)
 }
 
-/// `--forest` / `--forest-cap N`: the copy-on-write snapshot-forest
-/// reset strategy (default: off; cap default
-/// [`ForestConfig::DEFAULT_CAP`]). Reports are byte-identical with the
-/// forest on or off — only replay cost changes (O(delta) instead of
-/// O(prefix); PERFORMANCE.md §snapshot forest).
-fn parse_forest(args: &[String]) -> Result<Option<ForestConfig>, CliError> {
-    let enabled = has_switch(args, "--forest");
-    if !enabled {
-        if flag_value(args, "--forest-cap").is_some() {
-            return Err(CliError::Usage("--forest-cap requires --forest".to_owned()));
-        }
-        return Ok(None);
-    }
+/// `--target NAME` plus `--forest-cap N`, the snapshot forest's live
+/// node cap (default [`ForestConfig::DEFAULT_CAP`]). Reports are
+/// byte-identical for every cap — only replay cost changes
+/// (PERFORMANCE.md §snapshot forest).
+fn parse_configured(args: &[String]) -> Result<ConfiguredBackend, CliError> {
     let cap: usize = parse_num(args, "--forest-cap", ForestConfig::DEFAULT_CAP)?;
     if cap == 0 {
         return Err(CliError::Usage(
             "--forest-cap must be at least 1".to_owned(),
         ));
     }
-    Ok(Some(ForestConfig { cap }))
+    Ok(ConfiguredBackend::new(parse_target(args)?).with_forest(Some(ForestConfig { cap })))
 }
 
 /// `--target NAME` (default: the stock `iris` backend). The parsed
@@ -573,13 +565,15 @@ fn parse_durability(args: &[String]) -> (Option<PathBuf>, Option<PathBuf>) {
 
 /// Resolve `--resume`: a missing file is a fresh start (so a crash
 /// before the first checkpoint write — or a stale path — cannot strand
-/// the user), while a present one must load and match this
-/// invocation's `fingerprint`. Returns the loaded checkpoint (if any)
-/// plus a note line for the report header.
+/// the user), while a present one must load, match this invocation's
+/// `fingerprint` and pass the checkpoint's structural `check`. Returns
+/// the loaded checkpoint (if any) plus a note line for the report
+/// header.
 fn load_resume<T>(
     resume: Option<&PathBuf>,
     fingerprint: &str,
     load: impl FnOnce(&std::path::Path, &str) -> std::io::Result<T>,
+    check: impl FnOnce(&T) -> std::io::Result<()>,
 ) -> Result<(Option<T>, String), CliError> {
     match resume {
         None => Ok((None, String::new())),
@@ -589,6 +583,9 @@ fn load_resume<T>(
         )),
         Some(path) => {
             let cp = load(path, fingerprint)?;
+            check(&cp).map_err(|e| {
+                std::io::Error::new(e.kind(), format!("checkpoint {}: {e}", path.display()))
+            })?;
             Ok((Some(cp), format!("resumed from {}\n", path.display())))
         }
     }
@@ -627,8 +624,8 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
     let mutants: usize = parse_num(args, "--mutants", 200)?;
     let jobs = parse_jobs(args)?;
     let chunk = parse_chunk(args)?;
-    let backend = parse_target(args)?;
-    let forest = parse_forest(args)?;
+    let factory = parse_configured(args)?;
+    let backend = factory.backend;
     let ops = w.generate(exits, seed);
     mgr.record(w.label(), ops, RecordConfig::default());
     let trace = mgr.db.get(w.label()).expect("recorded").clone();
@@ -645,8 +642,12 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
     let fingerprint =
         campaign_fingerprint(backend.name(), w.label(), exits, seed, mutants, plan.len());
     let (checkpoint_path, resume_path) = parse_durability(args);
-    let (resume, resume_note) =
-        load_resume(resume_path.as_ref(), &fingerprint, CampaignCheckpoint::load)?;
+    let (resume, resume_note) = load_resume(
+        resume_path.as_ref(),
+        &fingerprint,
+        CampaignCheckpoint::load,
+        |cp| cp.check(&plan),
+    )?;
 
     // Corpus and checkpoint snapshots persist on background writer
     // threads, so the aggregator never pauses on JSON I/O; write errors
@@ -662,62 +663,62 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
     let show_progress = std::io::stderr().is_terminal();
     let mut last_observed = 0u64;
     let mut last_folded = resume.as_ref().map_or(0, |cp| cp.folded);
-    let report =
-        ParallelCampaign::with_factory(jobs, ConfiguredBackend::new(backend).with_forest(forest))
-            .with_chunk(chunk)
-            .run_session(
-                &traces,
-                &plan,
-                CampaignRunOptions {
-                    policy: RunPolicy {
-                        stop: Some(stop),
-                        ..RunPolicy::default()
-                    },
-                    resume,
+    let report = ParallelCampaign::with_factory(jobs, factory)
+        .with_chunk(chunk)
+        .run_session(
+            &traces,
+            &plan,
+            CampaignRunOptions {
+                policy: RunPolicy {
+                    stop: Some(stop),
+                    ..RunPolicy::default()
                 },
-                |p, partial: &CampaignReport| {
-                    if show_progress {
-                        eprint!(
-                            "\rfuzzing: {}/{} mutants, {}/{} test cases",
-                            p.mutants_done,
-                            p.mutants_total,
-                            p.results_folded,
-                            plan.len()
-                        );
+                resume,
+            },
+            |p, partial: &CampaignReport| {
+                if show_progress {
+                    eprint!(
+                        "\rfuzzing: {}/{} mutants, {}/{} test cases",
+                        p.mutants_done,
+                        p.mutants_total,
+                        p.results_folded,
+                        plan.len()
+                    );
+                }
+                if let Some(writer) = &writer {
+                    // Snapshot only when the corpus actually grew —
+                    // crash-free test cases would otherwise clone and
+                    // rewrite byte-identical JSON once per fold.
+                    if partial.corpus.observed() > last_observed {
+                        last_observed = partial.corpus.observed();
+                        writer.persist(partial.corpus.clone());
                     }
-                    if let Some(writer) = &writer {
-                        // Snapshot only when the corpus actually grew —
-                        // crash-free test cases would otherwise clone and
-                        // rewrite byte-identical JSON once per fold.
-                        if partial.corpus.observed() > last_observed {
-                            last_observed = partial.corpus.observed();
-                            writer.persist(partial.corpus.clone());
-                        }
+                }
+                if let Some(ckpt) = &ckpt_writer {
+                    // Checkpoints live at test-case fold boundaries:
+                    // the report is exactly a folded plan prefix there,
+                    // which is what a resume can continue from.
+                    if partial.results.len() > last_folded {
+                        last_folded = partial.results.len();
+                        ckpt.persist(CampaignCheckpoint {
+                            version: CHECKPOINT_VERSION,
+                            fingerprint: fingerprint.clone(),
+                            folded: partial.results.len(),
+                            report: partial.clone(),
+                        });
                     }
-                    if let Some(ckpt) = &ckpt_writer {
-                        // Checkpoints live at test-case fold boundaries:
-                        // the report is exactly a folded plan prefix there,
-                        // which is what a resume can continue from.
-                        if partial.results.len() > last_folded {
-                            last_folded = partial.results.len();
-                            ckpt.persist(CampaignCheckpoint {
-                                version: CHECKPOINT_VERSION,
-                                fingerprint: fingerprint.clone(),
-                                folded: partial.results.len(),
-                                report: partial.clone(),
-                            });
-                        }
-                    }
-                },
-            )
-            .map_err(CliError::Run)?;
+                }
+            },
+        )
+        .map_err(CliError::Run)?;
     if show_progress {
         eprintln!();
     }
     let interrupted = report.results.len() < plan.len();
 
     let mut out = format!(
-        "campaign over {} — {} test cases ({} mutants each), {} worker{}, chunk {}, target {}{}\n",
+        "campaign over {} — {} test cases ({} mutants each), {} worker{}, chunk {}, target {}, \
+         forest cap {}\n",
         w.label(),
         plan.len(),
         mutants,
@@ -725,7 +726,7 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
         if jobs == 1 { "" } else { "s" },
         chunk,
         backend.name(),
-        forest.map_or(String::new(), |f| format!(", forest (cap {})", f.cap))
+        factory.forest.cap
     );
     out.push_str(&resume_note);
     for r in &report.results {
@@ -803,8 +804,8 @@ fn cmd_guided(args: &[String]) -> Result<String, CliError> {
         return Err(CliError::Usage("--gen must be at least 1".to_owned()));
     }
     let jobs = parse_jobs(args)?;
-    let backend = parse_target(args)?;
-    let forest = parse_forest(args)?;
+    let factory = parse_configured(args)?;
+    let backend = factory.backend;
     let ops = w.generate(exits, seed);
     mgr.record(w.label(), ops, RecordConfig::default());
     let trace = mgr.db.get(w.label()).expect("recorded").clone();
@@ -816,8 +817,12 @@ fn cmd_guided(args: &[String]) -> Result<String, CliError> {
     };
     let fingerprint = guided_fingerprint(backend.name(), w.label(), exits, &config);
     let (checkpoint_path, resume_path) = parse_durability(args);
-    let (resume, resume_note) =
-        load_resume(resume_path.as_ref(), &fingerprint, GuidedCheckpoint::load)?;
+    let (resume, resume_note) = load_resume(
+        resume_path.as_ref(),
+        &fingerprint,
+        GuidedCheckpoint::load,
+        |cp| cp.check(&config, initial_corpus(&trace).len()),
+    )?;
 
     let corpus_path = flag_value(args, "--corpus").map(PathBuf::from);
     let writer = corpus_path.as_ref().map(|p| CorpusWriter::spawn(p.clone()));
@@ -834,10 +839,9 @@ fn cmd_guided(args: &[String]) -> Result<String, CliError> {
         },
         resume,
     };
-    // Fingerprints deliberately exclude the forest flag (like jobs and
+    // Fingerprints deliberately exclude the forest cap (like jobs and
     // chunk): the report bytes are invariant under it, so a resume may
-    // switch it freely (RELIABILITY.md).
-    let factory = ConfiguredBackend::new(backend).with_forest(forest);
+    // change it freely (RELIABILITY.md).
     let r = run_guided_shared_session(&factory, &trace, config, jobs, options, |p| {
         if show_progress {
             eprint!(
@@ -867,12 +871,12 @@ fn cmd_guided(args: &[String]) -> Result<String, CliError> {
     let interrupted = r.executions < config.budget;
 
     let mut out = format!(
-        "guided fuzzing over {} ({} executions, target {}{})\n\
+        "guided fuzzing over {} ({} executions, target {}, forest cap {})\n\
          shared corpus: {} worker{}, {} generations of ≤{} executions\n",
         w.label(),
         config.budget,
         backend.name(),
-        forest.map_or(String::new(), |f| format!(", forest cap {}", f.cap)),
+        factory.forest.cap,
         jobs,
         if jobs == 1 { "" } else { "s" },
         r.growth.len(),
@@ -1329,23 +1333,32 @@ mod tests {
 
     #[test]
     fn forest_flag_is_validated() {
-        // A cap without the flag is a usage error, as is cap 0.
+        // The forest is always on, so `--forest` is an unknown flag (a
+        // usage error naming it); `--forest-cap` must be >= 1.
         assert!(matches!(
-            run(&args("campaign os_boot --exits 80 --forest-cap 8")),
-            Err(CliError::Usage(_))
+            run(&args("campaign os_boot --exits 80 --forest")),
+            Err(CliError::Usage(s)) if s.contains("'--forest'")
         ));
         assert!(matches!(
-            run(&args("campaign os_boot --exits 80 --forest --forest-cap 0")),
+            run(&args("campaign os_boot --exits 80 --forest-cap 0")),
             Err(CliError::Usage(_))
         ));
+        let out = run(&args(
+            "campaign os_boot --exits 80 --mutants 5 --forest-cap 8",
+        ))
+        .unwrap();
+        assert!(
+            out.lines().next().unwrap().ends_with("forest cap 8"),
+            "{out}"
+        );
     }
 
     #[test]
-    fn campaign_forest_is_byte_identical_to_forest_off() {
-        // The snapshot forest changes replay cost, never report bytes:
-        // apart from the header's forest note the rendered output (and
-        // thus the underlying report) matches the classic reset path,
-        // under eviction pressure too.
+    fn campaign_forest_cap_is_byte_identical_to_the_default() {
+        // The forest cap changes replay cost, never report bytes: apart
+        // from the header's cap note the rendered output (and thus the
+        // underlying report) matches the default cap, under eviction
+        // pressure too.
         let strip = |s: &str| {
             s.lines()
                 .skip(1)
@@ -1353,18 +1366,14 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        let off = run(&args("campaign os_boot --exits 120 --mutants 25 --jobs 2")).unwrap();
-        let on = run(&args(
-            "campaign os_boot --exits 120 --mutants 25 --jobs 2 --forest",
-        ))
-        .unwrap();
+        let default = run(&args("campaign os_boot --exits 120 --mutants 25 --jobs 2")).unwrap();
         let tight = run(&args(
-            "campaign os_boot --exits 120 --mutants 25 --jobs 2 --forest --forest-cap 2",
+            "campaign os_boot --exits 120 --mutants 25 --jobs 2 --forest-cap 2",
         ))
         .unwrap();
-        assert!(on.contains("forest (cap 64)"), "{on}");
-        assert_eq!(strip(&off), strip(&on));
-        assert_eq!(strip(&off), strip(&tight));
+        assert!(default.contains("forest cap 64"), "{default}");
+        assert!(tight.contains("forest cap 2"), "{tight}");
+        assert_eq!(strip(&default), strip(&tight));
     }
 
     #[test]
@@ -1792,7 +1801,7 @@ mod tests {
         // The parse tells values from switches.
         let flags_of = |cmd: &str| &table.iter().find(|(c, _)| c == cmd).unwrap().1;
         assert!(flags_of("campaign").contains(&("--exits", true)));
-        assert!(flags_of("campaign").contains(&("--forest", false)));
+        assert!(flags_of("campaign").contains(&("--forest-cap", true)));
         assert!(flags_of("replay").contains(&("--cold", false)));
         assert!(flags_of("replay").contains(&("--memory", false)));
         assert!(flags_of("worker").contains(&("--connect", true)));

@@ -2,7 +2,7 @@
 //! the `--json` artifacts of the `jobs=1` reference runs of `iris
 //! campaign` and `iris guided`, on both registered backends. Every
 //! configuration that promises byte-identical reports — more workers,
-//! finer chunks, the snapshot forest under eviction pressure — must
+//! finer chunks, a tight forest cap that keeps eviction hot — must
 //! reproduce them exactly, so a refactor that drifts a reproduced
 //! result fails here instead of passing silently.
 //!
@@ -57,7 +57,7 @@ fn campaign_goldens_match_across_jobs_chunks_and_forest() {
             &[
                 &format!("--target {target} --jobs 1"),
                 &format!("--target {target} --jobs 2 --chunk 7"),
-                &format!("--target {target} --jobs 2 --forest --forest-cap 2"),
+                &format!("--target {target} --jobs 2 --forest-cap 2"),
             ],
         );
     }
@@ -75,7 +75,7 @@ fn guided_goldens_match_across_jobs_and_forest() {
             &[
                 &format!("--target {target} --jobs 1"),
                 &format!("--target {target} --jobs 2"),
-                &format!("--target {target} --jobs 2 --forest --forest-cap 2"),
+                &format!("--target {target} --jobs 2 --forest-cap 2"),
             ],
         );
     }

@@ -874,10 +874,15 @@ enum PreparedJob {
     Instant { fingerprint: String, report: String },
 }
 
+/// Load the `--resume` checkpoint, if one exists: a version or
+/// fingerprint mismatch is a typed [`ErrorCode::FingerprintMismatch`],
+/// and a checkpoint that fails its structural `check` (or cannot be
+/// read) a [`ErrorCode::Protocol`] error.
 fn load_resume_checkpoint<T>(
     shared: &Shared,
     fingerprint: &str,
     load: impl FnOnce(&std::path::Path, &str) -> io::Result<T>,
+    check: impl FnOnce(&T) -> io::Result<()>,
 ) -> Result<Option<T>, (ErrorCode, String)> {
     let Some(path) = &shared.resume else {
         return Ok(None);
@@ -886,7 +891,13 @@ fn load_resume_checkpoint<T>(
         return Ok(None);
     }
     match load(path, fingerprint) {
-        Ok(cp) => Ok(Some(cp)),
+        Ok(cp) => match check(&cp) {
+            Ok(()) => Ok(Some(cp)),
+            Err(e) => Err((
+                ErrorCode::Protocol,
+                format!("resume checkpoint {}: {e}", path.display()),
+            )),
+        },
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
             Err((ErrorCode::FingerprintMismatch, e.to_string()))
         }
@@ -913,16 +924,11 @@ fn prepare_job(shared: &Shared, spec: &JobSpec) -> Result<PreparedJob, (ErrorCod
                 ));
             }
             let fingerprint = spec.fingerprint(plan.len());
-            let resume = load_resume_checkpoint(shared, &fingerprint, CampaignCheckpoint::load)?;
+            let resume =
+                load_resume_checkpoint(shared, &fingerprint, CampaignCheckpoint::load, |cp| {
+                    cp.check(&plan)
+                })?;
             let folded0 = resume.as_ref().map_or(0, |cp| cp.folded);
-            if let Some(cp) = &resume {
-                if cp.folded > plan.len() || cp.folded != cp.report.results.len() {
-                    return Err((
-                        ErrorCode::Protocol,
-                        "resume checkpoint is structurally inconsistent with the plan".to_owned(),
-                    ));
-                }
-            }
             let report = resume.map_or_else(CampaignReport::new, |cp| cp.report);
             let chunk = chunk.max(1);
             let chunks: Vec<(usize, MutantRange)> = plan
@@ -993,18 +999,10 @@ fn prepare_job(shared: &Shared, spec: &JobSpec) -> Result<PreparedJob, (ErrorCod
                     report: json,
                 });
             }
-            let resume = load_resume_checkpoint(shared, &fingerprint, GuidedCheckpoint::load)?;
-            if let Some(cp) = &resume {
-                let generation = config.generation.max(1);
-                if cp.next_slot > config.budget
-                    || (cp.next_slot != config.budget && cp.next_slot % generation != 0)
-                {
-                    return Err((
-                        ErrorCode::Protocol,
-                        "resume checkpoint slot is not a generation boundary".to_owned(),
-                    ));
-                }
-            }
+            let resume =
+                load_resume_checkpoint(shared, &fingerprint, GuidedCheckpoint::load, |cp| {
+                    cp.check(&config, corpus0.len())
+                })?;
             let engine = match resume {
                 Some(cp) => SharedEngine::resume(&trace, config, cp),
                 None => {

@@ -8,10 +8,14 @@
 //! failure statistics — one Table I cell per test case.
 //!
 //! This module holds the per-chunk core of that loop
-//! ([`run_mutant_range_with`] / [`run_mutant_range_on`]) and the
-//! assembly of a test case's chunks ([`assemble_test_case`]); the one
-//! campaign engine, [`crate::parallel::ParallelCampaign`], runs plans on
-//! them, and its `jobs=1` run is the reference. The SUT lifecycle
+//! ([`run_mutant_range_on`]) and the assembly of a test case's chunks
+//! ([`assemble_test_case`]); the one campaign engine,
+//! [`crate::parallel::ParallelCampaign`], runs plans on them over
+//! long-lived targets it positions through the snapshot forest, and its
+//! `jobs=1` run is the reference. [`run_mutant_range_with`] runs one
+//! range on a freshly booted target: the per-lease path of the
+//! distributed workers (`crates/dist`), and the fresh-boot reference
+//! the conformance suite holds the engine against. The SUT lifecycle
 //! (reach `s1`, submit, reset after a crash) lives behind the
 //! [`FuzzTarget`] trait, so the same core fuzzes any registered backend
 //! ([`crate::target::Backend`]); it is generic over the
@@ -78,9 +82,9 @@ pub struct ChunkOutput {
 /// `rng_seed ⊕ range_start` and re-derives it per index, so the mutant
 /// stream — and, because submissions are history-independent from the
 /// canonical post-baseline state, the outcome stream — is invariant
-/// under the partition of `0..mutants` into chunks. The sharded
-/// executor calls it per stolen chunk (one chunk spans the whole cell
-/// at `with_chunk(usize::MAX)`).
+/// under the partition of `0..mutants` into chunks. Distributed workers
+/// call it per leased range; the in-process engine instead positions a
+/// long-lived target and calls [`run_mutant_range_on`].
 ///
 /// # Panics
 /// Panics if `range` reaches beyond `testcase.mutants` — a malformed
@@ -91,9 +95,9 @@ pub fn run_mutant_range_with<F: TargetFactory>(
     testcase: &TestCase,
     range: MutantRange,
 ) -> ChunkOutput {
-    // Reach s1 once per chunk; the target snapshots it so crash
-    // recovery is a restore in O(dirty state) instead of rebuilding the
-    // stack and replaying the whole prefix again. (`for_test_case`
+    // Reach s1 once per range; the target roots its forest there so
+    // crash recovery is a restore in O(dirty state) instead of
+    // rebuilding the stack and replaying the whole prefix again. (`for_test_case`
     // bounds-checks the seed index.)
     let mut target = factory.build(BootPlan::for_test_case(trace, testcase.seed_index));
     target.boot();
@@ -111,8 +115,8 @@ pub fn run_mutant_range_with<F: TargetFactory>(
 /// and `restore_s1` must re-establish exactly that state — it is
 /// invoked after every crashing mutant, before the driver re-submits
 /// `VM_seed_R`. [`run_mutant_range_with`] passes a freshly booted
-/// target and [`FuzzTarget::reset`]; the forest-aware sharded executor
-/// instead passes a long-lived target positioned via a pinned
+/// target and [`FuzzTarget::reset`]; the sharded executor instead
+/// passes a long-lived target positioned via a pinned
 /// [`iris_core::forest::SnapshotForest`] node, with a `restore_s1`
 /// that restores that node in O(delta). Because the positioned state is
 /// the same in both cases (a forest node's state is a pure function of
@@ -171,9 +175,8 @@ pub fn run_mutant_range_on<T: FuzzTarget + ?Sized>(
                 console: verdict.console,
             });
             // Back to s1 (the paper's test-case restart after a
-            // failure — a snapshot or forest-node restore, also when
-            // the SUT itself died), then re-establish the post-target
-            // state.
+            // failure — a forest-node restore, also when the SUT
+            // itself died), then re-establish the post-target state.
             restore_s1(target);
             let _ = target.submit(target_seed);
         }

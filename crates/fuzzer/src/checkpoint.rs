@@ -41,6 +41,7 @@ use crate::corpus::Corpus;
 use crate::failure::FailureStats;
 use crate::guided::GuidedConfig;
 use crate::parallel::CampaignReport;
+use crate::testcase::TestCase;
 use iris_core::seed::VmSeed;
 use iris_hv::coverage::CoverageMap;
 use serde::{Deserialize, Serialize};
@@ -148,6 +149,13 @@ fn validate(version: u32, fingerprint: &str, expected: &str, path: &Path) -> io:
     Ok(())
 }
 
+fn malformed(kind: &str, problem: &str) -> io::Result<()> {
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{kind} checkpoint {problem}"),
+    ))
+}
+
 fn load_json<T: Deserialize>(path: &Path) -> io::Result<T> {
     let bytes = std::fs::read(path).map_err(|e| annotate(e, "reading checkpoint from", path))?;
     serde_json::from_slice(&bytes).map_err(|e| annotate(e.into(), "parsing checkpoint in", path))
@@ -188,10 +196,10 @@ pub struct GuidedCheckpoint {
     /// promotion inherits its base's state path instead of extending
     /// it). Together with the rebuilt corpus this reconstructs every
     /// entry's seed path, so a resumed run positions slots (and pins
-    /// forest nodes) exactly like the uninterrupted one. Note that
-    /// forest *configuration* is deliberately absent from both the
-    /// checkpoint and the fingerprint, like `jobs`/`chunk`: the forest
-    /// is a pure accelerator, so a run may resume with it toggled.
+    /// forest nodes) exactly like the uninterrupted one. Note that the
+    /// forest cap is deliberately absent from both the checkpoint and
+    /// the fingerprint, like `jobs`/`chunk`: pinned nodes are pure
+    /// accelerators, so a run may resume under a different cap.
     pub lineage: Vec<(usize, bool)>,
     /// Folded failure counters so far.
     pub failures: FailureStats,
@@ -222,6 +230,36 @@ impl GuidedCheckpoint {
         let cp: Self = load_json(path)?;
         validate(cp.version, &cp.fingerprint, expected_fingerprint, path)?;
         Ok(cp)
+    }
+
+    /// Structural check against the run it resumes, whose initial
+    /// corpus has `initial_len` entries: `next_slot` sits on a
+    /// generation barrier within the budget, and every promotion's base
+    /// is an earlier corpus entry. A checkpoint that loads but fails
+    /// this was tampered with or corrupted.
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidData`] naming the first inconsistency.
+    pub fn check(&self, config: &GuidedConfig, initial_len: usize) -> io::Result<()> {
+        let generation = config.generation.max(1);
+        let (slot, promoted) = (self.next_slot, self.promoted.len());
+        let problem = if slot > config.budget {
+            format!("is past the budget: {slot} > {}", config.budget)
+        } else if slot != config.budget && !slot.is_multiple_of(generation) {
+            format!("slot {slot} is not a generation boundary (generation {generation})")
+        } else if self.lineage.len() != promoted {
+            format!(
+                "lineage ({}) does not match its promotions ({promoted})",
+                self.lineage.len()
+            )
+        } else if let Some(k) = (self.lineage.iter().zip(initial_len..))
+            .position(|(&(base, _), earlier)| base >= earlier)
+        {
+            format!("promotion {k} does not name an earlier corpus entry as its base")
+        } else {
+            return Ok(());
+        };
+        malformed("guided", &problem)
     }
 }
 
@@ -264,6 +302,30 @@ impl CampaignCheckpoint {
         let cp: Self = load_json(path)?;
         validate(cp.version, &cp.fingerprint, expected_fingerprint, path)?;
         Ok(cp)
+    }
+
+    /// Structural check against the plan it resumes: the checkpointed
+    /// results must be exactly the plan's first `folded` test cases. A
+    /// checkpoint that loads but fails this was tampered with or
+    /// corrupted.
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidData`] naming the inconsistency.
+    pub fn check(&self, plan: &[TestCase]) -> io::Result<()> {
+        let results = &self.report.results;
+        let problem = if self.folded > plan.len() || self.folded != results.len() {
+            format!(
+                "is malformed: folded={} results={} plan={}",
+                self.folded,
+                results.len(),
+                plan.len()
+            )
+        } else if plan.iter().zip(results).any(|(tc, r)| *tc != r.testcase) {
+            "does not match the plan prefix".to_owned()
+        } else {
+            return Ok(());
+        };
+        malformed("campaign", &problem)
     }
 }
 

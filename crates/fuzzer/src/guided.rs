@@ -23,11 +23,11 @@
 //! private booted [`SlotContext`] and serves all the slots it steals on
 //! it. Each slot **positions at its mutation base's state** — `s1` plus
 //! the base's seed path ([`corpus_paths`]) — so mutation resumes from
-//! where the promoted base left off instead of restarting from `s1`;
-//! with a snapshot forest ([`crate::target::TargetFactory::forest`])
-//! that positioning is an O(delta) restore of the base's pinned node,
-//! without one it is a root reset plus path replay — **state-identical
-//! by the forest law**, so the forest is a pure accelerator. At the
+//! where the promoted base left off instead of restarting from `s1`.
+//! That positioning is an O(delta) restore of the base's pinned
+//! snapshot-forest node, or, on a miss, a root reset plus path replay
+//! — **state-identical by the forest law**, so the node cache is a
+//! pure accelerator. At the
 //! **generation barrier** the outcomes merge in slot order against the
 //! generation-start coverage map: promotions append to the corpus in
 //! slot order, crash records fold into the crash corpus in slot order,
@@ -36,9 +36,9 @@
 //! function of `(corpus, paths, coverage snapshot, rng_seed, g)` — no
 //! residual target state leaks between the slots a worker serves — and
 //! the merge order is defined, the serialized [`GuidedResult`] is
-//! **byte-identical for any `jobs` count and with the forest on or
-//! off**. `jobs=1` without a forest is the reference semantics, and the
-//! committed goldens under `tests/golden/` pin its bytes. The same law
+//! **byte-identical for any `jobs` count and any forest cap**. `jobs=1`
+//! at the default cap is the reference semantics, and the committed
+//! goldens under `tests/golden/` pin its bytes. The same law
 //! is what lets a panicked worker's lost slots be re-executed
 //! byte-identically (see RELIABILITY.md). An ensemble of independent
 //! runs is a loop of [`run_guided_shared_with`] calls at distinct
@@ -319,20 +319,18 @@ pub fn corpus_paths(initial_len: usize, lineage: &[(usize, bool)]) -> Vec<Vec<us
 /// by replaying the base's seed path from `s1` — see [`corpus_paths`]),
 /// submit the scheduled mutant, and report the outcome. The outcome is
 /// pure in `(corpus, paths, seen, rng_seed, slot)` — **exactly**, not
-/// empirically: positioning starts from an unconditional reset (or a
-/// forest restore, which is state-identical by the forest law), so a
-/// slot's outcome cannot depend on which other slots its worker
-/// happened to serve first. That independence is what the engine's
-/// partition law (byte-identical results for any `jobs`), the
-/// executor's re-lease law (a panicked slot re-runs identically on a
-/// fresh context), *and* the forest law (byte-identical results with
-/// the forest on or off, whatever was evicted) all rest on.
+/// empirically: positioning always ends in a root reset or a forest
+/// restore, and a node's state is by the forest law the state its path
+/// replays to from `s1`, so a slot's outcome cannot depend on which
+/// other slots its worker happened to serve first. That independence
+/// is what the engine's partition law (byte-identical results for any
+/// `jobs`), the executor's re-lease law (a panicked slot re-runs
+/// identically on a fresh context), *and* the forest law
+/// (byte-identical results at any cap, whatever was evicted) all rest
+/// on.
 #[derive(Debug)]
 pub struct SlotContext<T: FuzzTarget> {
     target: T,
-    /// Whether the target has a live snapshot forest (probed once at
-    /// construction via `reset_to(ROOT)`).
-    forest: bool,
     /// Pinned post-execution node per corpus index (`None` = never
     /// pinned by this worker). A hit that fails to restore (evicted)
     /// falls back to derive-and-re-pin.
@@ -340,39 +338,23 @@ pub struct SlotContext<T: FuzzTarget> {
 }
 
 impl<T: FuzzTarget> SlotContext<T> {
-    /// Boot a private target and probe its forest support.
+    /// Boot a private target.
     pub fn new(mut target: T) -> Self {
         target.boot();
-        let forest = target.reset_to(StateId::ROOT);
         Self {
             target,
-            forest,
             nodes: Vec::new(),
         }
     }
 
     /// Position the target at the state `path` names (the state after
-    /// replaying `corpus[path[0]], corpus[path[1]], ...` from `s1`).
+    /// replaying `corpus[path[0]], corpus[path[1]], ...` from `s1`):
+    /// restore the path's last pinned node in O(delta), deriving (and
+    /// re-pinning) it from the path prefix on a cache miss or after
+    /// eviction — slower, never wrong.
     fn position(&mut self, corpus: &[VmSeed], path: &[usize]) {
-        if self.forest {
-            self.position_pinned(corpus, path);
-        } else {
-            // lint:allow(slot-reset-law) -- this reset is unconditional per slot: every position() starts from s1; the branch selects the restore mechanism (replay vs forest), not whether to reset
-            self.target.reset();
-            for &ci in path {
-                if let Some(seed) = corpus.get(ci) {
-                    let _ = self.target.submit(seed);
-                }
-            }
-        }
-    }
-
-    /// Forest positioning: restore the path's last pinned node in
-    /// O(delta), deriving (and re-pinning) it from the path prefix on a
-    /// cache miss or after eviction — slower, never wrong.
-    fn position_pinned(&mut self, corpus: &[VmSeed], path: &[usize]) {
         let Some((&last, prefix)) = path.split_last() else {
-            // lint:allow(slot-reset-law) -- unconditional per slot: the empty path IS s1; reset here is the forest-mode root restore, not conditional slot state
+            // lint:allow(slot-reset-law) -- unconditional per slot: the empty path IS s1, and every longer path ends in this root restore unless a pinned node restores first
             self.target.reset();
             return;
         };
@@ -381,7 +363,7 @@ impl<T: FuzzTarget> SlotContext<T> {
                 return;
             }
         }
-        self.position_pinned(corpus, prefix);
+        self.position(corpus, prefix);
         if let Some(seed) = corpus.get(last) {
             let _ = self.target.submit(seed);
         }
@@ -502,48 +484,30 @@ impl SharedEngine {
 
     /// Rebuild an engine from a generation-barrier checkpoint. The
     /// checkpoint's fingerprint was validated at load
-    /// ([`GuidedCheckpoint::load`]) — what remains is structural
-    /// sanity: a checkpoint is only taken at a barrier, so `next_slot`
-    /// must sit on one. The scheduling corpus is always the initial
-    /// corpus plus the promotions, in promotion order — rebuilt here
-    /// instead of stored.
+    /// ([`GuidedCheckpoint::load`]) and callers run its structural
+    /// check ([`GuidedCheckpoint::check`]) before getting here. The
+    /// scheduling corpus is always the initial corpus plus the
+    /// promotions, in promotion order — rebuilt here instead of stored.
     ///
     /// # Panics
-    /// Panics on a malformed checkpoint (a `next_slot` beyond the
-    /// budget or off a generation boundary) or an empty initial corpus.
+    /// Panics on a checkpoint that fails [`GuidedCheckpoint::check`] or
+    /// an empty initial corpus.
     #[must_use]
     pub fn resume(trace: &RecordedTrace, config: GuidedConfig, cp: GuidedCheckpoint) -> Self {
-        let generation = config.generation.max(1);
-        assert!(
-            cp.next_slot <= config.budget,
-            "guided checkpoint is past the budget: {} > {}",
-            cp.next_slot,
-            config.budget
-        );
-        assert!(
-            cp.next_slot == config.budget || cp.next_slot.is_multiple_of(generation),
-            "guided checkpoint slot {} is not a generation boundary (generation {})",
-            cp.next_slot,
-            generation
-        );
         let mut corpus = initial_corpus(trace);
         assert!(
             !corpus.is_empty(),
             "guided engine requires a non-empty initial corpus"
         );
         let initial_len = corpus.len();
+        let checked = cp.check(&config, initial_len);
+        assert!(checked.is_ok(), "{checked:?}");
         corpus.extend(cp.promoted.iter().cloned());
-        assert!(
-            cp.lineage.len() == cp.promoted.len(),
-            "guided checkpoint lineage ({}) does not match its promotions ({})",
-            cp.lineage.len(),
-            cp.promoted.len()
-        );
         let paths = corpus_paths(initial_len, &cp.lineage);
         Self {
             workload: workload_of(trace),
             config,
-            generation,
+            generation: config.generation.max(1),
             corpus,
             paths,
             lineage: cp.lineage,
@@ -790,9 +754,8 @@ pub fn run_guided_shared_with<F: TargetFactory>(
 /// the policy's budget.
 ///
 /// # Panics
-/// Panics on a malformed resume checkpoint (a `next_slot` beyond the
-/// budget or off a generation boundary) — checkpoints are
-/// fingerprint-validated at load, so this indicates tampering, not a
+/// Panics on a resume checkpoint that fails [`GuidedCheckpoint::check`]
+/// — callers run that check at load, so this is a driver bug, not a
 /// runtime condition.
 pub fn run_guided_shared_session<F, O>(
     factory: &F,
@@ -843,9 +806,9 @@ where
             || {
                 // One private booted SlotContext per worker, serving
                 // every slot the worker steals this generation. Each
-                // slot positions at its base's state from scratch (an
-                // unconditional root reset, or a forest restore that is
-                // state-identical by the forest law), so no residual
+                // slot positions at its base's state from scratch (a
+                // root reset or a forest restore, state-identical by
+                // the forest law), so no residual
                 // state leaks between the slots a worker serves. A
                 // worker that panics is torn down and rebuilt here, and
                 // its slot re-executes byte-identically (the slot law

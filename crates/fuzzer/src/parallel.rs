@@ -12,11 +12,10 @@
 //! work-stealing executor ([`crate::executor`]) — N worker threads
 //! claim chunks off an **atomic cursor** (one `fetch_add` per claim —
 //! no lock on the hot path), each worker runs its chunk on a private
-//! target stack ([`crate::campaign::run_mutant_range_with`] — boot to
-//! `s1` once per chunk, snapshot-restore per crash), and the executor
-//! delivers one [`ChunkOutput`] per chunk (not per seed) back in
-//! chunk-index order. The aggregator therefore sees each test case's
-//! chunks contiguously and in `range_start` order, assembles them
+//! long-lived target (see below), and the executor delivers one
+//! [`ChunkOutput`] per chunk (not per seed) back in chunk-index order.
+//! The aggregator therefore sees each test case's chunks contiguously
+//! and in `range_start` order, assembles them
 //! ([`crate::campaign::assemble_test_case`]) and folds completed test
 //! cases into the report in **plan order** — coverage word-merged,
 //! [`FailureStats`] folded, chunk-local [`Corpus`] shards absorbed by
@@ -27,29 +26,28 @@
 //! idles: wall-clock is bounded by total mutants, not by the largest
 //! cell.
 //!
-//! When the factory enables the snapshot forest
-//! ([`TargetFactory::forest`]), workers trade the per-chunk rebuild for
-//! a **long-lived target per workload** (a prefix server): positioning
-//! at a test case's seed prefix restores the deepest pinned
-//! [`iris_core::forest::SnapshotForest`] node and replays only the
-//! remaining seeds — O(delta) instead of O(prefix) — and crash recovery
-//! inside a chunk restores the prefix node the same way. Pins are pure
-//! accelerators (an evicted node is re-derived by replay), so the two
-//! paths position targets in identical states.
+//! Each worker keeps **one long-lived target per workload** (a prefix
+//! server) and boots it once. Positioning at a test case's seed prefix
+//! restores the deepest pinned [`iris_core::forest::SnapshotForest`]
+//! node and replays only the remaining seeds — O(delta) instead of
+//! O(prefix) — then pins the reached prefix once, so crash recovery
+//! inside the chunk and later chunks of the same cell restore it
+//! directly. Pins are pure accelerators (an evicted node is re-derived
+//! by replay), so a positioned target is in exactly the state a fresh
+//! boot at that prefix ([`crate::campaign::run_mutant_range_with`])
+//! reaches.
 //!
 //! Determinism is a hard requirement: the mutant stream is a pure
 //! function of `(rng_seed, mutant_index)`, chunk outputs merge in a
 //! defined order, and folding is ordered by plan index — so the report
 //! (results, merged coverage, folded stats, deduplicated corpus) is
 //! byte-identical for **any** `(jobs, chunk)` combination and forest
-//! configuration. [`ParallelCampaign`] is the only campaign engine:
-//! `jobs=1` is the reference (`with_chunk(usize::MAX)` makes it the
+//! cap. [`ParallelCampaign`] is the only campaign engine: `jobs=1` is
+//! the reference (`with_chunk(usize::MAX)` makes it the
 //! paper's one-boot-per-test-case loop), and the committed goldens under
 //! `tests/golden/` pin its report bytes.
 
-use crate::campaign::{
-    assemble_test_case, run_mutant_range_on, run_mutant_range_with, ChunkOutput, TestCaseResult,
-};
+use crate::campaign::{assemble_test_case, run_mutant_range_on, ChunkOutput, TestCaseResult};
 use crate::checkpoint::CampaignCheckpoint;
 use crate::corpus::Corpus;
 use crate::executor::{ExecutorError, RunPolicy};
@@ -114,19 +112,20 @@ impl Default for CampaignReport {
     }
 }
 
-/// Forest-mode worker state for one workload: a long-lived target plus
-/// the pinned snapshot-forest node for each replayed seed-prefix
-/// length. Kept for the worker's whole run, so successive chunks over
-/// the same trace restore a pinned prefix instead of rebuilding the
-/// stack and replaying from scratch.
+/// Worker state for one workload: a long-lived target plus the pinned
+/// snapshot-forest node for each seed-prefix length served so far.
+/// Kept for the worker's whole run, so successive chunks over the same
+/// trace restore a pinned prefix instead of rebuilding the stack and
+/// replaying from scratch.
 struct PrefixServer<T> {
     /// The long-lived target (built with a prefix-0 plan, so the forest
     /// root is the trace's replay start state).
     target: T,
-    /// `nodes[k]` pins the state after replaying `seeds[..k]`;
-    /// `nodes[0]` is the forest root. Every entry is a pure
-    /// accelerator: an evicted pin is a clean miss and the state is
-    /// re-derived by replaying from the deepest surviving ancestor.
+    /// `nodes[k]` pins the state after replaying `seeds[..k]` (`None`
+    /// where no test case has asked for prefix `k`); `nodes[0]` is the
+    /// forest root. Every entry is a pure accelerator: an evicted pin
+    /// is a clean miss and the state is re-derived by replaying from
+    /// the deepest surviving ancestor.
     nodes: Vec<Option<StateId>>,
 }
 
@@ -145,8 +144,9 @@ impl<T: FuzzTarget> PrefixServer<T> {
     /// Run one chunk: position at the test case's seed prefix (pinned
     /// node restore + remainder replay), then run the shared chunk core
     /// with a `restore_s1` that re-positions the same way after a
-    /// crash. Byte-identical to [`run_mutant_range_with`], which boots
-    /// a fresh target to the same state.
+    /// crash. Byte-identical to
+    /// [`crate::campaign::run_mutant_range_with`], which boots a fresh
+    /// target to the same state.
     fn run_chunk(
         &mut self,
         trace: &RecordedTrace,
@@ -167,8 +167,11 @@ impl<T: FuzzTarget> PrefixServer<T> {
 
 /// Put `target` in the state right before `trace.seeds[prefix]`:
 /// restore the deepest surviving pinned ancestor and replay the rest,
-/// pinning each step so later work (crash recovery within this chunk,
-/// sibling test cases deeper in the same trace) restores in O(delta).
+/// then pin the requested prefix — once, and only if anything was
+/// replayed — so later work (crash recovery within this chunk, later
+/// chunks of the cell, deeper cells of the same trace) restores in
+/// O(delta). Pinning every replayed step instead would cost one delta
+/// capture and one LRU collapse per prefix seed.
 /// The positioned state is byte-identical to a fresh
 /// [`BootPlan::for_test_case`] boot at `prefix` — a forest node's state
 /// is a pure function of the replayed prefix.
@@ -197,8 +200,8 @@ fn position<T: FuzzTarget>(
             if target.reset_to(id) {
                 break;
             }
-            // Evicted under cap pressure (or no forest at all on this
-            // target): forget the stale pin and fall back one level.
+            // Evicted under cap pressure (or a backend with no
+            // forest): forget the stale pin and fall back one level.
             // lint:allow(panic-path-audit) -- same bound as the read above
             nodes[from] = None;
         }
@@ -209,18 +212,18 @@ fn position<T: FuzzTarget>(
         }
         from -= 1;
     }
-    for k in from..prefix {
-        // lint:allow(panic-path-audit) -- k < prefix, asserted in range against trace.seeds above
-        let out = target.submit(&trace.seeds[k]);
+    // lint:allow(panic-path-audit) -- from <= prefix, asserted in range against trace.seeds above
+    for seed in &trace.seeds[from..prefix] {
+        let out = target.submit(seed);
         debug_assert!(
             out.crash.is_none(),
             "prefix replay must be clean: {:?}",
             out.crash
         );
-        if let Some(id) = target.pin_state() {
-            // lint:allow(panic-path-audit) -- k + 1 <= prefix < nodes.len() after the resize above
-            nodes[k + 1] = Some(id);
-        }
+    }
+    if from < prefix {
+        // lint:allow(panic-path-audit) -- nodes was resized to prefix+1 entries above
+        nodes[prefix] = target.pin_state();
     }
 }
 
@@ -247,16 +250,16 @@ pub struct CampaignRunOptions<'a> {
     /// fault injection.
     pub policy: RunPolicy<'a>,
     /// Resume from a fold-boundary checkpoint (validate it with
-    /// [`CampaignCheckpoint::load`] first — the engine only
-    /// structurally cross-checks it against the plan).
+    /// [`CampaignCheckpoint::load`] and [`CampaignCheckpoint::check`]
+    /// first — the engine asserts the structural check).
     pub resume: Option<CampaignCheckpoint>,
 }
 
 /// A campaign executor that shards the planned test cases' mutant
 /// ranges across worker threads at chunk granularity, generic over the
-/// fuzz-target backend: every worker builds a private
-/// [`crate::target::FuzzTarget`] instance per stolen chunk through the
-/// shared factory.
+/// fuzz-target backend: every worker builds one private
+/// [`crate::target::FuzzTarget`] instance per workload through the
+/// shared factory and positions it for each chunk it steals.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelCampaign<F: TargetFactory = IrisHvTarget> {
     /// Worker thread count (≥ 1).
@@ -388,7 +391,7 @@ impl<F: TargetFactory> ParallelCampaign<F> {
     ///
     /// # Panics
     /// Panics on a malformed plan (a workload with no trace) or a
-    /// checkpoint whose folded prefix does not match the plan —
+    /// checkpoint that fails [`CampaignCheckpoint::check`] —
     /// configuration errors, not runtime conditions.
     pub fn run_session<O>(
         &self,
@@ -409,22 +412,11 @@ impl<F: TargetFactory> ParallelCampaign<F> {
         }
         let (skip, report) = match options.resume {
             Some(cp) => {
-                // The fingerprint was validated at load; cross-check
-                // the structure against this plan: the checkpointed
-                // results must be exactly the plan's folded prefix.
-                assert!(
-                    cp.folded <= plan.len() && cp.folded == cp.report.results.len(),
-                    "campaign checkpoint is malformed: folded={} results={} plan={}",
-                    cp.folded,
-                    cp.report.results.len(),
-                    plan.len()
-                );
-                for (tc, result) in plan.iter().zip(&cp.report.results) {
-                    assert!(
-                        *tc == result.testcase,
-                        "campaign checkpoint does not match the plan prefix"
-                    );
-                }
+                // The fingerprint was validated at load, and callers run
+                // the structural check there too; a checkpoint that
+                // still fails it here is a driver bug.
+                let checked = cp.check(plan);
+                assert!(checked.is_ok(), "{checked:?}");
                 (cp.folded, cp.report)
             }
             None => (0, CampaignReport::new()),
@@ -525,46 +517,27 @@ impl<F: TargetFactory> ParallelCampaign<F> {
                 &report,
             );
         };
-        let outcome = if factory.forest().is_some() {
-            // Forest mode: persistent per-worker servers (one per
-            // workload) position via pinned nodes instead of booting a
-            // fresh stack per chunk. Byte-identical output either way —
-            // the conformance suite holds the two paths against each
-            // other.
-            crate::executor::run_ordered_with(
-                &jobs_list,
-                self.jobs,
-                policy,
-                BTreeMap::new,
-                |servers: &mut BTreeMap<Workload, PrefixServer<F::Target<'t>>>,
-                 _,
-                 &(tc_idx, range)| {
-                    // lint:allow(panic-path-audit) -- tc_idx comes from enumerate() over plan
-                    let tc = &plan[tc_idx];
-                    let trace = trace_of(tc);
-                    servers
-                        .entry(tc.workload)
-                        .or_insert_with(|| {
-                            PrefixServer::new(factory.build(BootPlan::for_test_case(trace, 0)))
-                        })
-                        .run_chunk(trace, tc, range)
-                },
-                &mut sink,
-            )
-        } else {
-            crate::executor::run_ordered_with(
-                &jobs_list,
-                self.jobs,
-                policy,
-                || (),
-                |(), _, &(tc_idx, range)| {
-                    // lint:allow(panic-path-audit) -- tc_idx comes from enumerate() over plan
-                    let tc = &plan[tc_idx];
-                    run_mutant_range_with(factory, trace_of(tc), tc, range)
-                },
-                &mut sink,
-            )
-        };
+        // Persistent per-worker servers (one per workload) position
+        // via pinned nodes instead of booting a fresh stack per chunk;
+        // the conformance suite holds them against fresh boots.
+        let outcome = crate::executor::run_ordered_with(
+            &jobs_list,
+            self.jobs,
+            policy,
+            BTreeMap::new,
+            |servers: &mut BTreeMap<Workload, PrefixServer<F::Target<'t>>>, _, &(tc_idx, range)| {
+                // lint:allow(panic-path-audit) -- tc_idx comes from enumerate() over plan
+                let tc = &plan[tc_idx];
+                let trace = trace_of(tc);
+                servers
+                    .entry(tc.workload)
+                    .or_insert_with(|| {
+                        PrefixServer::new(factory.build(BootPlan::for_test_case(trace, 0)))
+                    })
+                    .run_chunk(trace, tc, range)
+            },
+            &mut sink,
+        );
         match outcome {
             Ok(()) => Ok(report),
             // Folding is all-or-nothing per test case: the partial
@@ -696,18 +669,26 @@ mod tests {
         use crate::target::{Backend, ConfiguredBackend};
         use iris_core::forest::ForestConfig;
 
+        // "Forest off" is the fresh-boot reference: one boot per cell
+        // that never pins or restores a forest node.
         let trace = boot_trace(100);
         let plan = plan_over(&trace, 25);
-        let mut traces = BTreeMap::new();
-        traces.insert(iris_guest::workloads::Workload::OsBoot, trace);
-
-        let plain = ParallelCampaign::with_factory(2, ConfiguredBackend::new(Backend::Iris))
-            .run(&traces, &plan);
+        let factory = IrisHvTarget::default();
+        let mut plain = CampaignReport::new();
+        for tc in &plan {
+            let cell = tc
+                .chunks(usize::MAX)
+                .map(|range| crate::campaign::run_mutant_range_with(&factory, &trace, tc, range));
+            let (result, coverage) = assemble_test_case(tc, cell, &mut plain.corpus);
+            plain.fold_assembled(result, &coverage);
+        }
         let baseline = serde_json::to_string(&plain).unwrap();
         assert!(
             plain.corpus.observed() > 0,
             "the plan must exercise crash recovery"
         );
+        let mut traces = BTreeMap::new();
+        traces.insert(iris_guest::workloads::Workload::OsBoot, trace);
         // Tight node caps keep eviction pressure on: a stale pin must
         // be a clean miss (re-derived by replay), never a wrong state.
         for (jobs, cap) in [(1usize, ForestConfig::DEFAULT_CAP), (2, 3), (8, 1)] {
@@ -719,7 +700,7 @@ mod tests {
             assert_eq!(
                 serde_json::to_string(&forest).unwrap(),
                 baseline,
-                "forest jobs={jobs} cap={cap} diverged from the forest-off reference"
+                "forest jobs={jobs} cap={cap} diverged from the fresh-boot reference"
             );
         }
     }

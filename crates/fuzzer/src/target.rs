@@ -13,7 +13,16 @@
 //!   (coverage touched, crash verdict, cycle cost);
 //! * [`FuzzTarget::reset`] — restore `s1` in O(dirty state), whether
 //!   the previous submission left the SUT clean, crashed the VM, or
-//!   killed the hypervisor.
+//!   killed the hypervisor;
+//! * [`FuzzTarget::pin_state`] / [`FuzzTarget::reset_to`] — pin the
+//!   current state as a snapshot-forest node and come back to it in
+//!   O(delta). This is how drivers position a target at a seed prefix
+//!   or a corpus entry's state.
+//!
+//! [`HvTarget`] has exactly one reset mechanism: a copy-on-write
+//! [`SnapshotForest`] rooted at `s1`. `reset` is a restore to the root,
+//! `reset_to` a restore to a pinned node; [`ForestConfig::cap`] only
+//! bounds how many pins survive.
 //!
 //! A [`TargetFactory`] builds private target instances, one per worker
 //! and test case, which is what lets [`crate::parallel::ParallelCampaign`]
@@ -40,7 +49,6 @@ use iris_core::forest::{ForestConfig, SnapshotForest, StateId};
 use iris_core::record::Recorder;
 use iris_core::replay::ReplayEngine;
 use iris_core::seed::VmSeed;
-use iris_core::snapshot::Snapshot;
 use iris_core::trace::RecordedTrace;
 use iris_guest::runner::fast_forward_boot;
 use iris_guest::workloads::Workload;
@@ -151,8 +159,9 @@ pub trait FuzzTarget {
 
     /// Pin the current state as a snapshot-forest node and return its
     /// id, so a later [`FuzzTarget::reset_to`] can come back to it in
-    /// O(delta) instead of O(prefix) replay. `None` when the target has
-    /// no forest (the default — forest support is opt-in per backend).
+    /// O(delta) instead of O(prefix) replay. `None` when the backend
+    /// has no forest (the trait default; every in-tree backend has
+    /// one).
     ///
     /// Drivers must treat pinned nodes as a **pure accelerator**: a
     /// node's state is by construction the state reached by replaying
@@ -163,7 +172,7 @@ pub trait FuzzTarget {
     }
 
     /// Restore a previously pinned state in place. Returns `false` —
-    /// leaving the target untouched — when the target has no forest or
+    /// leaving the target untouched — when the backend has no forest or
     /// the node was evicted; the caller then re-derives the state via
     /// [`FuzzTarget::reset`] + seed replay (slower, never wrong). A
     /// SUT-fatal crash is recovered by the same restore, like
@@ -193,24 +202,14 @@ pub trait TargetFactory: Send + Sync {
     fn description(&self) -> &'static str;
 
     /// The snapshot-forest configuration instances built by this
-    /// factory enable (`None` = forest off, the default). Drivers use
-    /// this to decide whether persistent per-worker targets with pinned
-    /// states are worth keeping; either way reports must stay
-    /// byte-identical, because the forest is a pure accelerator.
+    /// factory use (`None` = the backend has no forest, the trait
+    /// default). Informational only: no driver branches on it. Every
+    /// driver positions through [`FuzzTarget::reset_to`] and
+    /// [`FuzzTarget::pin_state`], which a forest-less backend answers
+    /// with clean misses, so it falls back to reset plus replay.
     fn forest(&self) -> Option<ForestConfig> {
         None
     }
-}
-
-/// How a booted [`HvTarget`] gets back to `s1`: one flat snapshot, or a
-/// copy-on-write forest rooted there (when [`TargetFactory::forest`] is
-/// configured).
-enum ResetState {
-    /// Classic single-snapshot restore.
-    Snapshot(Snapshot),
-    /// Snapshot forest: `s1` is the root; [`FuzzTarget::pin_state`] /
-    /// [`FuzzTarget::reset_to`] are live.
-    Forest(SnapshotForest),
 }
 
 struct HvStack {
@@ -221,20 +220,22 @@ struct HvStack {
     /// The hypervisor globals at `s1`, restored before the domain on
     /// every reset.
     globals: HvGlobals,
-    reset: ResetState,
+    /// The copy-on-write forest rooted at `s1`: every reset, pin and
+    /// positioning restore goes through it.
+    forest: SnapshotForest,
 }
 
 /// A fuzz target over the in-tree hypervisor model: a dummy VM driven by
-/// the [`ReplayEngine`], with `s1` captured as hypervisor globals plus a
-/// [`Snapshot`] (or forest root) for O(dirty state) resets — crash
-/// recovery included. Both in-tree factories build this type; they
-/// differ only in the [`FaultInjection`] configuration baked into the
-/// build.
+/// the [`ReplayEngine`], with `s1` captured as hypervisor globals plus
+/// the root of a [`SnapshotForest`]. Resets, pins and positioning
+/// restores all go through that forest in O(delta) — crash recovery
+/// included. Both in-tree factories build this type; they differ only
+/// in the [`FaultInjection`] configuration baked into the build.
 pub struct HvTarget<'t> {
     plan: BootPlan<'t>,
     ram_bytes: u64,
     faults: FaultInjection,
-    forest_cfg: Option<ForestConfig>,
+    forest: ForestConfig,
     state: Option<HvStack>,
 }
 
@@ -245,7 +246,7 @@ impl std::fmt::Debug for HvTarget<'_> {
             .field("prefix", &self.plan.prefix)
             .field("ram_bytes", &self.ram_bytes)
             .field("faults", &self.faults)
-            .field("forest", &self.forest_cfg)
+            .field("forest", &self.forest)
             .field("booted", &self.state.is_some())
             .finish()
     }
@@ -282,25 +283,18 @@ impl FuzzTarget for HvTarget<'_> {
             );
         }
         let globals = hv.capture_globals();
-        let reset = match self
-            .forest_cfg
-            .and_then(|cfg| SnapshotForest::new(&hv, dummy, cfg))
-        {
-            Some(forest) => {
-                // Tracking starts *after* the root capture so the dirty
-                // set measures divergence from `s1`.
-                hv.domains[dummy as usize]
-                    .memory
-                    .set_page_dirty_tracking(true);
-                ResetState::Forest(forest)
-            }
-            None => ResetState::Snapshot(Snapshot::take(&hv, dummy)),
-        };
+        let forest = SnapshotForest::new(&hv, dummy, self.forest)
+            .expect("the dummy domain was created above");
+        // Tracking starts *after* the root capture so the dirty set
+        // measures divergence from `s1`.
+        hv.domains[dummy as usize]
+            .memory
+            .set_page_dirty_tracking(true);
         self.state = Some(HvStack {
             hv,
             engine,
             globals,
-            reset,
+            forest,
         });
     }
 
@@ -330,44 +324,26 @@ impl FuzzTarget for HvTarget<'_> {
     }
 
     fn reset(&mut self) {
-        let st = self.state.as_mut().expect("boot() the target first");
-        // The globals first (this also undoes a hypervisor crash), then
-        // the dummy domain from the snapshot in O(dirty state) — or, in
-        // forest mode, back to the root in O(delta).
-        st.hv.restore_globals(&st.globals);
-        match &mut st.reset {
-            ResetState::Snapshot(s1) => s1.restore_into(&mut st.hv, st.engine.domain),
-            ResetState::Forest(forest) => {
-                let ok = forest.restore_to(&mut st.hv, st.engine.domain, StateId::ROOT);
-                debug_assert!(ok, "the forest root is never evicted");
-            }
-        }
+        let ok = self.reset_to(StateId::ROOT);
+        debug_assert!(ok, "the forest root is never evicted");
     }
 
     fn pin_state(&mut self) -> Option<StateId> {
         let st = self.state.as_mut().expect("boot() the target first");
-        match &mut st.reset {
-            ResetState::Snapshot(_) => None,
-            ResetState::Forest(forest) => {
-                let id = forest.take_delta(&mut st.hv, st.engine.domain);
-                forest.evict_excess(&[id]);
-                Some(id)
-            }
-        }
+        let id = st.forest.take_delta(&mut st.hv, st.engine.domain);
+        st.forest.evict_excess(&[id]);
+        Some(id)
     }
 
     fn reset_to(&mut self, id: StateId) -> bool {
-        if self.forest_cfg.is_none() {
+        let st = self.state.as_mut().expect("boot() the target first");
+        if !st.forest.contains(id) {
             return false;
         }
-        let st = self.state.as_mut().expect("boot() the target first");
-        match &mut st.reset {
-            ResetState::Forest(forest) if forest.contains(id) => {
-                st.hv.restore_globals(&st.globals);
-                forest.restore_to(&mut st.hv, st.engine.domain, id)
-            }
-            _ => false,
-        }
+        // The globals first (this also undoes a hypervisor crash), then
+        // the dummy domain back to the node in O(delta).
+        st.hv.restore_globals(&st.globals);
+        st.forest.restore_to(&mut st.hv, st.engine.domain, id)
     }
 }
 
@@ -394,13 +370,13 @@ impl IrisHvTarget {
 
 /// The shared constructor both in-tree factories (and [`Backend`]) use:
 /// an un-booted [`HvTarget`] over the given plan, sizing, and fault
-/// configuration.
+/// configuration, with the default forest cap.
 fn build_hv_target(plan: BootPlan<'_>, ram_bytes: u64, faults: FaultInjection) -> HvTarget<'_> {
     HvTarget {
         plan,
         ram_bytes,
         faults,
-        forest_cfg: None,
+        forest: ForestConfig::default(),
         state: None,
     }
 }
@@ -418,6 +394,10 @@ impl TargetFactory for IrisHvTarget {
 
     fn description(&self) -> &'static str {
         "stock hypervisor model (the paper's SUT)"
+    }
+
+    fn forest(&self) -> Option<ForestConfig> {
+        Some(ForestConfig::default())
     }
 }
 
@@ -457,6 +437,10 @@ impl TargetFactory for FaultyHvTarget {
 
     fn description(&self) -> &'static str {
         "fault-injection build with planted handler bugs (ground-truth detection)"
+    }
+
+    fn forest(&self) -> Option<ForestConfig> {
+        Some(ForestConfig::default())
     }
 }
 
@@ -516,38 +500,41 @@ impl TargetFactory for Backend {
             Backend::Faulty => FaultyHvTarget::default().description(),
         }
     }
+
+    fn forest(&self) -> Option<ForestConfig> {
+        Some(ForestConfig::default())
+    }
 }
 
-/// A [`Backend`] plus runtime tuning — dummy-VM sizing and the optional
-/// snapshot forest. This is what the CLI hands to drivers once
-/// `--target`/`--forest`/`--forest-cap` are parsed; with `forest: None`
-/// it builds byte-for-byte the same targets as the bare [`Backend`].
+/// A [`Backend`] plus runtime tuning — dummy-VM sizing and the
+/// snapshot-forest node cap. This is what the CLI hands to drivers once
+/// `--target`/`--forest-cap` are parsed; at the defaults it builds
+/// byte-for-byte the same targets as the bare [`Backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConfiguredBackend {
     /// Which registered backend to build.
     pub backend: Backend,
     /// Guest RAM for the dummy domain.
     pub ram_bytes: u64,
-    /// Snapshot-forest configuration (`None` = classic single-snapshot
-    /// resets).
-    pub forest: Option<ForestConfig>,
+    /// Snapshot-forest configuration.
+    pub forest: ForestConfig,
 }
 
 impl ConfiguredBackend {
-    /// Default tuning for a backend: default RAM, forest off.
+    /// Default tuning for a backend: default RAM, default forest cap.
     #[must_use]
     pub fn new(backend: Backend) -> Self {
         Self {
             backend,
             ram_bytes: crate::campaign::DEFAULT_RAM_BYTES,
-            forest: None,
+            forest: ForestConfig::default(),
         }
     }
 
-    /// Set (or clear) the snapshot-forest configuration.
+    /// Set the snapshot-forest configuration (`None` = the default).
     #[must_use]
     pub fn with_forest(mut self, forest: Option<ForestConfig>) -> Self {
-        self.forest = forest;
+        self.forest = forest.unwrap_or_default();
         self
     }
 }
@@ -561,7 +548,7 @@ impl TargetFactory for ConfiguredBackend {
             Backend::Faulty => FaultInjection::planted(),
         };
         let mut target = build_hv_target(plan, self.ram_bytes, faults);
-        target.forest_cfg = self.forest;
+        target.forest = self.forest;
         target
     }
 
@@ -574,7 +561,7 @@ impl TargetFactory for ConfiguredBackend {
     }
 
     fn forest(&self) -> Option<ForestConfig> {
-        self.forest
+        Some(self.forest)
     }
 }
 
@@ -728,8 +715,7 @@ mod tests {
     #[test]
     fn forest_target_pins_and_restores_states() {
         let trace = boot_trace(60);
-        let factory =
-            ConfiguredBackend::new(Backend::Iris).with_forest(Some(ForestConfig::default()));
+        let factory = ConfiguredBackend::new(Backend::Iris);
         assert!(factory.forest().is_some());
         let mut target = factory.build(BootPlan::post_boot(&trace));
         target.boot();
@@ -742,7 +728,7 @@ mod tests {
         // must reproduce the continuation byte-for-byte.
         let _ = target.submit(&trace.seeds[0]);
         let _ = target.submit(&trace.seeds[1]);
-        let pinned = target.pin_state().expect("forest mode pins states");
+        let pinned = target.pin_state().expect("every HvTarget pins states");
         let expected = target.submit(&trace.seeds[2]);
         target.reset();
         let _ = target.submit(&trace.seeds[5]);
@@ -755,8 +741,7 @@ mod tests {
     #[test]
     fn forest_survives_a_sut_fatal_reboot() {
         let trace = boot_trace(60);
-        let factory =
-            ConfiguredBackend::new(Backend::Iris).with_forest(Some(ForestConfig::default()));
+        let factory = ConfiguredBackend::new(Backend::Iris);
         let mut target = factory.build(BootPlan::post_boot(&trace));
         target.boot();
         let _ = target.submit(&trace.seeds[0]);
@@ -777,16 +762,6 @@ mod tests {
         );
         let again = target.submit(&trace.seeds[1]);
         assert_eq!(expected.coverage, again.coverage);
-    }
-
-    #[test]
-    fn forest_off_configured_backend_has_no_pins() {
-        let trace = boot_trace(20);
-        let factory = ConfiguredBackend::new(Backend::Iris);
-        let mut target = factory.build(BootPlan::post_boot(&trace));
-        target.boot();
-        assert_eq!(target.pin_state(), None);
-        assert!(!target.reset_to(StateId::ROOT));
     }
 
     #[test]

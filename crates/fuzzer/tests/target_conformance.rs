@@ -9,13 +9,15 @@
 
 use iris_core::forest::{ForestConfig, StateId};
 use iris_core::trace::RecordedTrace;
+use iris_fuzzer::campaign::{assemble_test_case, run_mutant_range_with};
 use iris_fuzzer::checkpoint::GuidedCheckpoint;
 use iris_fuzzer::executor::{quiet_injected_faults, FaultPlan, RunPolicy};
 use iris_fuzzer::guided::{
     run_guided_shared_session, run_guided_shared_with, GuidedConfig, SharedRunOptions,
 };
 use iris_fuzzer::mutation::SeedArea;
-use iris_fuzzer::parallel::ParallelCampaign;
+use iris_fuzzer::parallel::{CampaignReport, ParallelCampaign};
+use iris_fuzzer::table1::Table1;
 use iris_fuzzer::target::{
     record_trace, Backend, BootPlan, ConfiguredBackend, FaultyHvTarget, FuzzTarget, HvTarget,
     IrisHvTarget, TargetFactory,
@@ -25,7 +27,9 @@ use iris_guest::workloads::Workload;
 use iris_vtx::exit::ExitReason;
 use iris_vtx::fields::VmcsField;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Run `$body` once per registered backend with `$factory` bound to that
 /// backend's factory. Exhaustive over [`Backend`] by construction.
@@ -313,11 +317,11 @@ fn guided_shared_reports_are_byte_identical_across_jobs() {
 }
 
 #[test]
-fn guided_shared_forest_reports_are_byte_identical_to_forest_off() {
-    // The snapshot-forest acceptance cross product: with the forest on,
-    // jobs ∈ {1, 2, 8} must serialize byte-identically to the classic
-    // forest-off jobs=1 reference on every registered backend — the
-    // forest changes replay cost, never report bytes. cap=3 and cap=1
+fn guided_shared_forest_caps_are_byte_identical_to_the_default_cap() {
+    // The snapshot-forest acceptance cross product: under tight node
+    // caps, jobs ∈ {1, 2, 8} must serialize byte-identically to the
+    // jobs=1 reference at the default cap on every registered backend —
+    // the cap changes replay cost, never report bytes. cap=3 and cap=1
     // keep the LRU eviction path under pressure while doing it.
     let trace = boot_trace(150);
     for_every_backend!(|factory, backend| {
@@ -333,24 +337,45 @@ fn guided_shared_forest_reports_are_byte_identical_to_forest_off() {
             "{backend:?}: the reference run must exercise promotion"
         );
         let baseline = serde_json::to_string(&reference).unwrap();
-        for (jobs, cap) in [(1usize, ForestConfig::DEFAULT_CAP), (2, 3), (8, 1)] {
+        for (jobs, cap) in [(1usize, 3), (2, 3), (8, 1)] {
             let forest = ConfiguredBackend::new(backend).with_forest(Some(ForestConfig { cap }));
             let r = run_guided_shared_with(&forest, &trace, cfg, jobs);
             assert_eq!(
                 serde_json::to_string(&r).unwrap(),
                 baseline,
-                "{backend:?}: forest jobs={jobs} cap={cap} diverged from the forest-off reference"
+                "{backend:?}: forest jobs={jobs} cap={cap} diverged from the default-cap reference"
             );
         }
     });
 }
 
+/// The campaign reference that never positions through the forest:
+/// every test case boots a fresh target at its own prefix
+/// ([`run_mutant_range_with`] over the whole cell), assembled and folded
+/// in plan order.
+fn fresh_boot_report<F: TargetFactory>(
+    factory: &F,
+    trace: &RecordedTrace,
+    plan: &[TestCase],
+) -> CampaignReport {
+    let mut report = CampaignReport::new();
+    for tc in plan {
+        let cell = tc
+            .chunks(usize::MAX)
+            .map(|range| run_mutant_range_with(factory, trace, tc, range));
+        let (result, coverage) = assemble_test_case(tc, cell, &mut report.corpus);
+        report.fold_assembled(result, &coverage);
+    }
+    report
+}
+
 #[test]
 fn campaign_forest_reports_are_byte_identical_to_forest_off() {
-    // The campaign twin: forest-mode prefix servers must fold to the
-    // same report bytes as the classic rebuild-per-chunk path for
-    // jobs ∈ {1, 2, 8}, on every registered backend, eviction pressure
-    // included.
+    // The campaign twin: prefix servers, which position every chunk
+    // through pinned forest nodes, must fold to the same report bytes
+    // as the "forest off" reference — a fresh boot per test case that
+    // never pins or restores a node — for jobs ∈ {1, 2, 8}, on every
+    // registered backend, eviction pressure included.
     let trace = boot_trace(120);
     let mut plan = Vec::new();
     for (reason, area) in [
@@ -371,10 +396,7 @@ fn campaign_forest_reports_are_byte_identical_to_forest_off() {
     }
 
     for_every_backend!(|factory, backend| {
-        let baseline = serde_json::to_string(
-            &ParallelCampaign::with_factory(1, factory).run_trace(&trace, &plan),
-        )
-        .unwrap();
+        let baseline = serde_json::to_string(&fresh_boot_report(&factory, &trace, &plan)).unwrap();
         for (jobs, cap) in [(1usize, ForestConfig::DEFAULT_CAP), (2, 2), (8, 1)] {
             let forest = ConfiguredBackend::new(backend).with_forest(Some(ForestConfig { cap }));
             let report = ParallelCampaign::with_factory(jobs, forest)
@@ -383,20 +405,118 @@ fn campaign_forest_reports_are_byte_identical_to_forest_off() {
             assert_eq!(
                 serde_json::to_string(&report).unwrap(),
                 baseline,
-                "{backend:?}: forest jobs={jobs} cap={cap} diverged from the forest-off reference"
+                "{backend:?}: forest jobs={jobs} cap={cap} diverged from the fresh-boot reference"
             );
         }
     });
 }
 
+/// A factory wrapper counting the positioning calls the campaign
+/// engine makes on the targets it builds.
+struct CountingFactory<F> {
+    inner: F,
+    boots: Arc<AtomicUsize>,
+    pins: Arc<AtomicUsize>,
+}
+
+struct CountingTarget<T> {
+    inner: T,
+    boots: Arc<AtomicUsize>,
+    pins: Arc<AtomicUsize>,
+}
+
+impl<T: FuzzTarget> FuzzTarget for CountingTarget<T> {
+    fn boot(&mut self) {
+        self.boots.fetch_add(1, Ordering::Relaxed);
+        self.inner.boot();
+    }
+
+    fn submit(&mut self, seed: &iris_core::seed::VmSeed) -> iris_fuzzer::target::SubmitOutcome {
+        self.inner.submit(seed)
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+
+    fn pin_state(&mut self) -> Option<StateId> {
+        self.pins.fetch_add(1, Ordering::Relaxed);
+        self.inner.pin_state()
+    }
+
+    fn reset_to(&mut self, id: StateId) -> bool {
+        self.inner.reset_to(id)
+    }
+}
+
+impl<F: TargetFactory> TargetFactory for CountingFactory<F> {
+    type Target<'t> = CountingTarget<F::Target<'t>>;
+
+    fn build<'t>(&self, plan: BootPlan<'t>) -> Self::Target<'t> {
+        CountingTarget {
+            inner: self.inner.build(plan),
+            boots: Arc::clone(&self.boots),
+            pins: Arc::clone(&self.pins),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn description(&self) -> &'static str {
+        self.inner.description()
+    }
+
+    fn forest(&self) -> Option<ForestConfig> {
+        self.inner.forest()
+    }
+}
+
 #[test]
-fn forest_resume_interoperates_with_forest_off_checkpoints() {
-    // Checkpoint fingerprints deliberately exclude the forest flag
-    // (RELIABILITY.md): a run interrupted without the forest must
-    // resume WITH it (and vice versa) to the same bytes as the
-    // uninterrupted reference — the promotion lineage in the v2
-    // checkpoint is what lets forest workers rebuild seed paths.
-    use std::sync::atomic::{AtomicBool, Ordering};
+fn whole_cell_campaign_boots_once_per_workload_and_pins_at_most_once_per_chunk() {
+    // Positioning cost as a count: a jobs=1 whole-cell Table I campaign
+    // boots one target per workload and positions every cell through
+    // it, pinning a cell's prefix at most once. Booting per chunk, or
+    // pinning every replayed prefix seed, fails here.
+    let mut traces = BTreeMap::new();
+    for workload in [Workload::OsBoot, Workload::CpuBound] {
+        traces.insert(workload, record_trace(workload, 300, 42));
+    }
+    let plan = Table1::plan(&traces, 10, 7);
+    for_every_backend!(|factory, backend| {
+        let (boots, pins) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let counting = CountingFactory {
+            inner: factory,
+            boots: Arc::clone(&boots),
+            pins: Arc::clone(&pins),
+        };
+        let report = ParallelCampaign::with_factory(1, counting)
+            .with_chunk(usize::MAX)
+            .run(&traces, &plan);
+        assert_eq!(report.results.len(), plan.len());
+        let (boots, pins) = (boots.load(Ordering::Relaxed), pins.load(Ordering::Relaxed));
+        assert_eq!(
+            boots,
+            traces.len(),
+            "{backend:?}: one boot per workload, not per chunk"
+        );
+        assert!(
+            pins <= plan.len(),
+            "{backend:?}: {pins} pins for {} whole-cell chunks",
+            plan.len()
+        );
+    });
+}
+
+#[test]
+fn forest_resume_across_a_cap_change_is_byte_identical() {
+    // Checkpoint fingerprints deliberately exclude the forest cap
+    // (RELIABILITY.md): a run interrupted at the default cap must
+    // resume under a tight one to the same bytes as the uninterrupted
+    // reference — the promotion lineage in the v2 checkpoint is what
+    // lets the resumed workers rebuild seed paths and re-pin them.
+    use std::sync::atomic::AtomicBool;
 
     let trace = boot_trace(150);
     for_every_backend!(|factory, backend| {
@@ -409,7 +529,7 @@ fn forest_resume_interoperates_with_forest_off_checkpoints() {
         let reference = run_guided_shared_with(&factory, &trace, cfg, 1);
         let baseline = serde_json::to_string(&reference).unwrap();
 
-        // Interrupt a forest-off jobs=2 run at its second barrier…
+        // Interrupt a default-cap jobs=2 run at its second barrier…
         let stop = AtomicBool::new(false);
         let mut captured: Option<GuidedCheckpoint> = None;
         run_guided_shared_session(
@@ -433,7 +553,7 @@ fn forest_resume_interoperates_with_forest_off_checkpoints() {
         )
         .expect("interruption is not an error");
 
-        // …and resume it with the forest on, under eviction pressure.
+        // …and resume it under eviction pressure.
         let forest = ConfiguredBackend::new(backend).with_forest(Some(ForestConfig { cap: 2 }));
         let resumed = run_guided_shared_session(
             &forest,
@@ -450,7 +570,7 @@ fn forest_resume_interoperates_with_forest_off_checkpoints() {
         assert_eq!(
             serde_json::to_string(&resumed).unwrap(),
             baseline,
-            "{backend:?}: forest-on resume of a forest-off checkpoint diverged"
+            "{backend:?}: cap-2 resume of a default-cap checkpoint diverged"
         );
     });
 }
@@ -546,7 +666,7 @@ proptest! {
     /// rebuild from s1: a random walk of submissions, pins, and
     /// restores — depth and branching driven by the action list, LRU
     /// eviction by the tight cap — must leave every surviving node
-    /// restoring to exactly the state a forest-off target reaches by
+    /// restoring to exactly the state a freshly booted target reaches by
     /// replaying that node's seed path from s1, on every registered
     /// backend. (Node state is pure in the path; the delta encoding is
     /// invisible.)
@@ -656,7 +776,7 @@ proptest! {
         stop_after in 0usize..6,
         rng_seed in any::<u64>(),
     ) {
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::atomic::AtomicBool;
 
         let trace = proptest_trace();
         for_every_backend!(|factory, backend| {
@@ -829,7 +949,7 @@ fn check_recovery(
     probes: &[usize],
     after_reset: bool,
 ) -> Result<bool, TestCaseError> {
-    let (backend, forest) = (factory.backend, factory.forest.is_some());
+    let (backend, cap) = (factory.backend, factory.forest.cap);
     let trace = plan.trace;
     let mut fresh = factory.build(plan);
     fresh.boot();
@@ -844,7 +964,7 @@ fn check_recovery(
         let (got, want) = (globals(target), globals(&fresh));
         prop_assert!(
             got == want,
-            "{backend:?} forest={forest}: hypervisor globals after reset differ from a \
+            "{backend:?} cap={cap}: hypervisor globals after reset differ from a \
              fresh boot: {got} vs {want}"
         );
     }
@@ -853,7 +973,7 @@ fn check_recovery(
         let want = fresh.submit(&trace.seeds[k]);
         prop_assert!(
             got.coverage == want.coverage && got.crash == want.crash && got.cycles == want.cycles,
-            "{backend:?} forest={forest}: probe seed {k} after recovery to path {path:?} \
+            "{backend:?} cap={cap}: probe seed {k} after recovery to path {path:?} \
              diverged from the fresh reference: {:?}/{} vs {:?}/{}",
             got.crash,
             got.cycles,
@@ -879,7 +999,7 @@ proptest! {
     /// crash verdict (console included) and cycles — and, after a
     /// `reset`, the hypervisor globals — must equal those of a freshly
     /// built and booted reference at the same logical state, on every
-    /// backend with the forest on and off.
+    /// backend at the default forest cap and under a tight one.
     #[test]
     fn crash_recovery_by_restore_matches_a_fresh_boot(
         steps in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..28),
@@ -895,9 +1015,8 @@ proptest! {
             ((probe_pick >> 32) % limit as u64) as usize,
         ];
         for backend in Backend::ALL {
-            for forest in [false, true] {
-                let factory = ConfiguredBackend::new(backend)
-                    .with_forest(forest.then_some(ForestConfig { cap: 3 }));
+            for cap in [ForestConfig::DEFAULT_CAP, 3] {
+                let factory = ConfiguredBackend::new(backend).with_forest(Some(ForestConfig { cap }));
                 let mut target = factory.build(plan);
                 target.boot();
                 let mut path: Vec<usize> = Vec::new();
