@@ -10,10 +10,10 @@
 //! The `chunk` axis prices per-lease wire
 //! overhead — `chunk = MUTANTS` is one lease per test case (the fewest
 //! round trips), `chunk = 2` splits each cell into several leases and
-//! pays a grant/result exchange for each. On the single-core build
-//! container the worker axis is flat (see the PERFORMANCE.md caveat);
-//! `--json <path>` (conventionally `BENCH_dist_fleet.json`) emits
-//! every arm machine-readably for perf-trajectory tracking.
+//! pays a grant/result exchange for each (workers keep warm targets
+//! per job, so a lease boots nothing). `--json <path>`
+//! (conventionally `BENCH_dist_fleet.json`) emits every arm, with the
+//! host's CPU count, machine-readably for perf-trajectory tracking.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use iris_dist::coordinator::{ServeOptions, Server};

@@ -17,14 +17,14 @@
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use iris_bench::experiments::record_workload;
 use iris_fuzzer::guided::{run_guided_shared_with, GuidedConfig};
-use iris_fuzzer::target::IrisHvTarget;
+use iris_fuzzer::target::Backend;
 use iris_guest::workloads::Workload;
 
 const BUDGET: u64 = 1200;
 
 fn bench_guided_scaling(c: &mut Criterion) {
     let (_, trace) = record_workload(Workload::OsBoot, 300, 42);
-    let factory = IrisHvTarget::default();
+    let factory = Backend::Iris;
 
     let mut group = c.benchmark_group("guided_scaling");
     group.throughput(Throughput::Elements(BUDGET));

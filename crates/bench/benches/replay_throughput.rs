@@ -44,7 +44,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use iris_bench::experiments::record_workload;
 use iris_core::replay::ReplayEngine;
 use iris_core::snapshot::Snapshot;
-use iris_fuzzer::target::{BootPlan, FuzzTarget, IrisHvTarget, TargetFactory};
+use iris_fuzzer::target::{Backend, BootPlan, FuzzTarget, TargetFactory};
 use iris_guest::runner::fast_forward_boot;
 use iris_guest::workloads::Workload;
 use iris_hv::hypervisor::Hypervisor;
@@ -129,10 +129,9 @@ fn bench_replay(c: &mut Criterion) {
         // ...vs the identical loop through the FuzzTarget trait (the
         // drivers' statically-dispatched path).
         {
-            let factory = IrisHvTarget::default();
+            let factory = Backend::Iris;
             let mut target = factory.build(BootPlan {
                 trace: &trace,
-                prefix: 0,
                 fast_forward: workload != Workload::OsBoot,
             });
             target.boot();
@@ -166,10 +165,9 @@ fn bench_replay(c: &mut Criterion) {
         group.throughput(Throughput::Elements(1));
 
         {
-            let factory = IrisHvTarget::default();
+            let factory = Backend::Iris;
             let mut target = factory.build(BootPlan {
                 trace: &trace,
-                prefix: 0,
                 fast_forward: false,
             });
             target.boot();
@@ -189,10 +187,9 @@ fn bench_replay(c: &mut Criterion) {
         }
 
         {
-            let factory = IrisHvTarget::default();
+            let factory = Backend::Iris;
             let mut target = factory.build(BootPlan {
                 trace: &trace,
-                prefix: 0,
                 fast_forward: false,
             });
             target.boot();

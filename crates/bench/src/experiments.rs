@@ -403,7 +403,7 @@ pub fn table1_traces(exits: usize, seed: u64) -> BTreeMap<Workload, RecordedTrac
 }
 
 /// Run Table I on the sharded executor against fuzz-target backend
-/// `factory` (e.g. `FaultyHvTarget` for a ground-truth detection run of
+/// `factory` (e.g. `Backend::Faulty` for a ground-truth detection run of
 /// the whole table), with `jobs` workers stealing mutant ranges of
 /// `chunk` mutants. The cells (and the crash corpus) are byte-identical
 /// to the `jobs=1` run's for any `(jobs, chunk)`; only the wall clock

@@ -28,7 +28,7 @@ use crate::proto::{
 };
 use crate::verify::{
     digest_output, disagreeing_holders, execute_range, spot_check_due, Candidate, ExecDetail,
-    Submission, Verifier,
+    GuidedEpoch, JobTargets, Submission, Verifier,
 };
 use iris_core::seed::VmSeed;
 use iris_core::trace::RecordedTrace;
@@ -42,7 +42,6 @@ use iris_fuzzer::guided::{
 use iris_fuzzer::parallel::CampaignReport;
 use iris_fuzzer::target::Backend;
 use iris_fuzzer::testcase::{MutantRange, TestCase};
-use iris_hv::coverage::CoverageMap;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -351,32 +350,26 @@ struct ExecCtx {
 
 enum VerifyDetail {
     Campaign(TestCase),
-    Guided {
-        corpus: Vec<VmSeed>,
-        /// Per-entry seed paths (the slot law's mutation-base
-        /// positioning), rebuilt from the engine's promotion lineage.
-        paths: Vec<Vec<usize>>,
-        // Boxed: the dense coverage bitmap is ~3.5 KB and would
-        // dominate the Campaign arm's size.
-        seen: Box<CoverageMap>,
-    },
+    // Boxed: the dense coverage bitmap is ~3.5 KB and would dominate
+    // the Campaign arm's size.
+    Guided(Box<GuidedEpoch>),
 }
 
 impl ExecCtx {
     fn run(&self, range: LeaseRange, rng_seed: u64) -> RangeOutput {
         let detail = match &self.detail {
             VerifyDetail::Campaign(tc) => ExecDetail::Campaign(tc),
-            VerifyDetail::Guided {
-                corpus,
-                paths,
-                seen,
-            } => ExecDetail::Guided {
-                corpus,
-                paths,
-                seen,
-            },
+            VerifyDetail::Guided(epoch) => ExecDetail::Guided(epoch),
         };
-        execute_range(&self.backend, &self.trace, &detail, range, rng_seed)
+        // A cold instance: the same forest-positioned path a worker's
+        // warm one runs, so the digests compare like with like.
+        execute_range(
+            &mut JobTargets::cold(self.backend),
+            &self.trace,
+            &detail,
+            range,
+            rng_seed,
+        )
     }
 }
 
@@ -558,11 +551,11 @@ impl Job {
             JobBody::Guided(g) => {
                 let mut corpus = g.corpus0.clone();
                 corpus.extend_from_slice(g.engine.promoted());
-                VerifyDetail::Guided {
+                VerifyDetail::Guided(Box::new(GuidedEpoch {
                     corpus,
                     paths: g.engine.paths().to_vec(),
-                    seen: Box::new(g.engine.seen().clone()),
-                }
+                    seen: g.engine.seen().clone(),
+                }))
             }
         };
         Some(ExecCtx {

@@ -28,9 +28,9 @@
 //!   the existing in-process merge, checkpoints at fold/generation
 //!   boundaries via `iris_fuzzer::checkpoint`, and streams progress to
 //!   submitters.
-//! * [`worker`] / [`client`] — `iris worker` builds a private target
-//!   per lease via `TargetFactory` and runs the existing
-//!   `run_mutant_range_with`/`run_slot` cores; `iris submit` delivers a
+//! * [`worker`] / [`client`] — `iris worker` keeps one warm target
+//!   set per job across leases and runs the in-process
+//!   `PrefixServer`/`run_slot` cores on it; `iris submit` delivers a
 //!   spec and receives the final report, byte-identical to
 //!   `iris campaign|guided --jobs 1`.
 //!

@@ -21,9 +21,9 @@ use crate::proto::{LeaseRange, RangeOutput};
 use crate::DistError;
 use iris_core::seed::VmSeed;
 use iris_core::trace::RecordedTrace;
-use iris_fuzzer::campaign::run_mutant_range_with;
-use iris_fuzzer::guided::{SlotContext, SlotOutcome};
-use iris_fuzzer::target::{Backend, BootPlan, TargetFactory};
+use iris_fuzzer::guided::SlotContext;
+use iris_fuzzer::parallel::PrefixServer;
+use iris_fuzzer::target::{Backend, BootPlan, FuzzTarget, HvTarget, TargetFactory};
 use iris_fuzzer::testcase::{MutantRange, TestCase};
 use iris_hv::coverage::CoverageMap;
 use std::collections::BTreeMap;
@@ -195,59 +195,105 @@ pub fn disagreeing_holders(candidates: &[Candidate], truth: u64) -> Vec<u64> {
     out
 }
 
+/// A guided generation's scheduling state: with the rng seed and the
+/// slot index, all a slot's outcome depends on.
+#[derive(Debug, Clone, Default)]
+pub struct GuidedEpoch {
+    /// The scheduling corpus (`initial ++ promoted`).
+    pub corpus: Vec<VmSeed>,
+    /// Seed path per corpus entry (rebuilt from the promotion lineage
+    /// by [`iris_fuzzer::guided::corpus_paths`]): where each slot
+    /// positions its target before submitting.
+    pub paths: Vec<Vec<usize>>,
+    /// The generation-start coverage map.
+    pub seen: CoverageMap,
+}
+
 /// What a range execution needs beyond the trace: the campaign test
 /// case, or the guided epoch's scheduling state.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub enum ExecDetail<'a> {
     /// A campaign chunk of this test case.
     Campaign(&'a TestCase),
-    /// A guided slot range against this epoch corpus and coverage.
-    Guided {
-        /// The epoch's scheduling corpus (`initial ++ promoted`).
-        corpus: &'a [VmSeed],
-        /// Seed path per corpus entry (rebuilt from the epoch's
-        /// promotion lineage by [`iris_fuzzer::guided::corpus_paths`]):
-        /// where each slot positions its target before submitting.
-        paths: &'a [Vec<usize>],
-        /// The generation-start coverage map.
-        seen: &'a CoverageMap,
-    },
+    /// A guided slot range against this epoch.
+    Guided(&'a GuidedEpoch),
+}
+
+/// The long-lived targets one job's ranges execute on: a
+/// [`PrefixServer`] for campaign chunks and a [`SlotContext`] for
+/// guided slots, each booted at its first range and kept until the job
+/// ends. Workers keep one per job across leases; adjudication and
+/// spot-checks run on a cold one. Warm and cold give the same bytes:
+/// both position through the snapshot forest, whose node states are
+/// pure functions of their seed paths. Generic only so tests can count
+/// boots.
+#[derive(Debug)]
+pub struct JobTargets<F = Backend, T: FuzzTarget = HvTarget> {
+    factory: F,
+    campaign: Option<PrefixServer<T>>,
+    guided: Option<SlotContext<T>>,
+}
+
+impl<F, T: FuzzTarget> JobTargets<F, T> {
+    /// No target built yet: the first range of each kind boots one.
+    #[must_use]
+    pub fn cold(factory: F) -> Self {
+        Self {
+            factory,
+            campaign: None,
+            guided: None,
+        }
+    }
+
+    /// Drop the guided slot context. Its node cache is keyed by corpus
+    /// index, so it is valid only while every index keeps its seed
+    /// path: call this when a new epoch does not extend the last one.
+    pub fn forget_slots(&mut self) {
+        self.guided = None;
+    }
 }
 
 /// Execute one lease range — the single implementation behind worker
 /// leases, divergence adjudication, and spot-checks, so "re-execute and
 /// compare" compares like with like by construction. Campaign chunks
-/// run [`run_mutant_range_with`]; guided ranges boot a private
-/// [`SlotContext`] and run its slot core per slot, exactly as the
-/// in-process drivers do.
+/// run on `targets`' [`PrefixServer`], guided slots on its
+/// [`SlotContext`], exactly as the in-process drivers run them.
+/// `trace` must be the trace `targets` was first used with.
 #[must_use]
-pub fn execute_range(
-    backend: &Backend,
+pub fn execute_range<F, T>(
+    targets: &mut JobTargets<F, T>,
     trace: &RecordedTrace,
     detail: &ExecDetail<'_>,
     range: LeaseRange,
     rng_seed: u64,
-) -> RangeOutput {
+) -> RangeOutput
+where
+    F: for<'t> TargetFactory<Target<'t> = T>,
+    T: FuzzTarget,
+{
+    let factory = &targets.factory;
     match detail {
         ExecDetail::Campaign(tc) => {
             let mutant_range = MutantRange {
                 start: range.start as usize,
                 len: range.len as usize,
             };
-            RangeOutput::Campaign(Box::new(run_mutant_range_with(
-                backend,
-                trace,
-                tc,
-                mutant_range,
-            )))
+            let server = targets.campaign.get_or_insert_with(|| {
+                PrefixServer::new(factory.build(BootPlan::for_test_case(trace)))
+            });
+            RangeOutput::Campaign(Box::new(server.run_chunk(trace, tc, mutant_range)))
         }
-        ExecDetail::Guided {
+        ExecDetail::Guided(GuidedEpoch {
             corpus,
             paths,
             seen,
-        } => {
-            let mut ctx = SlotContext::new(backend.build(BootPlan::post_boot(trace)));
-            let mut outcomes: Vec<SlotOutcome> = Vec::with_capacity(range.len as usize);
+        }) => {
+            let ctx = targets
+                .guided
+                .get_or_insert_with(|| SlotContext::new(factory.build(BootPlan::post_boot(trace))));
+            // No preallocation from `range.len`: the caller bounds the
+            // range (a worker against the job's budget), not this loop.
+            let mut outcomes = Vec::new();
             for slot in range.start..range.start.saturating_add(range.len) {
                 outcomes.push(ctx.run_slot(corpus, paths, seen, rng_seed, slot));
             }

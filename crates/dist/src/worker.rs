@@ -1,14 +1,14 @@
 //! The worker loop behind `iris worker --connect`.
 //!
-//! A worker is stateless between leases: it re-derives the job's trace,
-//! plan, and initial corpus from the [`JobSpec`] the coordinator's
-//! `Assign` frame carries (determinism makes the derivation
-//! byte-identical on every host), builds a **private target stack** per
-//! lease via `TargetFactory`, and runs the exact in-process cores —
-//! [`execute_range`] wraps `run_mutant_range_with` for campaign chunks
-//! and a `SlotContext` slot loop for guided ranges (seed paths rebuilt
-//! from the epoch's promotion lineage) — so a distributed range's bytes
-//! match the single-process run's by construction.
+//! A worker re-derives the job's trace, plan, and initial corpus from
+//! the [`JobSpec`] the coordinator's `Assign` frame carries
+//! (determinism makes the derivation byte-identical on every host) and
+//! keeps **warm targets per job** across leases ([`JobTargets`]: a
+//! `PrefixServer` for campaign chunks, a `SlotContext` for guided
+//! slots), each booted once. [`execute_range`] runs the exact
+//! in-process cores on them, so a range's bytes match the
+//! single-process run's, and the coordinator's cold re-execution, by
+//! construction. Leases and epochs are checked against the job first.
 //!
 //! Liveness: while a lease computes, a sibling thread owns nothing but
 //! the heartbeat cadence, writing `Heartbeat` frames that renew the
@@ -25,12 +25,12 @@ use crate::job::{JobKind, JobSpec};
 use crate::proto::{
     read_frame, write_frame, ErrorCode, Frame, LeaseKind, LeaseRange, RangeOutput, PROTO_VERSION,
 };
-use crate::verify::{execute_range, ExecDetail};
+use crate::verify::{execute_range, ExecDetail, GuidedEpoch, JobTargets};
 use crate::DistError;
 use iris_core::seed::VmSeed;
 use iris_core::trace::RecordedTrace;
-use iris_fuzzer::guided::{corpus_paths, initial_corpus};
-use iris_fuzzer::target::Backend;
+use iris_fuzzer::guided::{corpus_paths, initial_corpus, lineage_problem};
+use iris_fuzzer::target::{Backend, FuzzTarget, HvTarget, TargetFactory};
 use iris_fuzzer::testcase::TestCase;
 use iris_hv::coverage::CoverageMap;
 use std::net::TcpStream;
@@ -101,22 +101,24 @@ pub struct WorkerSummary {
     pub results_corrupted: u64,
 }
 
-/// The job state a worker caches per `Assign` — everything re-derived
-/// locally from the spec.
-struct WorkerJob {
+/// The job state a worker keeps per `Assign` — everything re-derived
+/// locally from the spec, plus the warm targets its leases run on.
+struct WorkerJob<F = Backend, T: FuzzTarget = HvTarget> {
     id: u64,
     fingerprint: String,
     trace: RecordedTrace,
     plan: Vec<TestCase>,
     corpus0: Vec<VmSeed>,
-    /// The guided generation the cached corpus/coverage belong to.
+    /// The guided slot budget (0 for a campaign job): no slot lease
+    /// may reach past it.
+    budget: u64,
+    /// The guided generation `guided` belongs to, and the promotion
+    /// lineage its corpus was assembled with.
     epoch: Option<u64>,
-    epoch_corpus: Vec<VmSeed>,
-    /// Seed path per corpus entry, rebuilt from the epoch's promotion
-    /// lineage ([`corpus_paths`]) — where each slot positions its
-    /// target before submitting.
-    epoch_paths: Vec<Vec<usize>>,
-    epoch_seen: CoverageMap,
+    lineage: Vec<(usize, bool)>,
+    guided: GuidedEpoch,
+    /// The targets every lease of this job runs on, booted once.
+    targets: JobTargets<F, T>,
 }
 
 enum Served {
@@ -268,7 +270,7 @@ fn serve(
                         spec.target, opts.target
                     )));
                 }
-                *job = Some(derive_job(job_id, fingerprint, &spec)?);
+                *job = Some(derive_job(job_id, fingerprint, &spec, backend)?);
             }
             Frame::Epoch {
                 job_id,
@@ -282,23 +284,7 @@ fn serve(
                         "epoch update for a job this worker was never assigned".to_owned(),
                     ));
                 };
-                if lineage.len() != promoted.len() {
-                    return Err(DistError::Protocol(format!(
-                        "epoch lineage ({}) does not match its promotions ({})",
-                        lineage.len(),
-                        promoted.len()
-                    )));
-                }
-                // The scheduling corpus is `initial ++ promoted` — the
-                // exact shape SharedEngine maintains coordinator-side —
-                // and the seed paths every slot positions with are a
-                // pure function of the lineage.
-                let mut corpus = j.corpus0.clone();
-                corpus.extend(promoted);
-                j.epoch_paths = corpus_paths(j.corpus0.len(), &lineage);
-                j.epoch_corpus = corpus;
-                j.epoch_seen = *seen;
-                j.epoch = Some(epoch);
+                j.apply_epoch(epoch, promoted, lineage, *seen)?;
             }
             Frame::Lease {
                 job_id,
@@ -307,7 +293,7 @@ fn serve(
                 rng_seed,
                 epoch,
             } => {
-                let Some(j) = job.as_ref().filter(|j| j.id == job_id) else {
+                let Some(j) = job.as_mut().filter(|j| j.id == job_id) else {
                     return Err(DistError::Protocol(
                         "lease for a job this worker was never assigned".to_owned(),
                     ));
@@ -323,7 +309,6 @@ fn serve(
                 let mut output = match compute_with_heartbeats(
                     &mut stream,
                     opts,
-                    backend,
                     j,
                     &kind,
                     range,
@@ -391,13 +376,18 @@ fn corrupt_output(output: &mut RangeOutput) {
     }
 }
 
-/// Re-derive a job's local state from its spec.
-fn derive_job(id: u64, fingerprint: String, spec: &JobSpec) -> Result<WorkerJob, DistError> {
+/// Re-derive a job's local state from its spec; its targets start cold.
+fn derive_job<F, T: FuzzTarget>(
+    id: u64,
+    fingerprint: String,
+    spec: &JobSpec,
+    factory: F,
+) -> Result<WorkerJob<F, T>, DistError> {
     let trace = spec.record_trace()?;
     let plan = spec.plan(&trace)?;
-    let corpus0 = match spec.kind {
-        JobKind::Guided { .. } => initial_corpus(&trace),
-        JobKind::Campaign { .. } => Vec::new(),
+    let (corpus0, budget) = match spec.kind {
+        JobKind::Guided { budget, .. } => (initial_corpus(&trace), budget),
+        JobKind::Campaign { .. } => (Vec::new(), 0),
     };
     Ok(WorkerJob {
         id,
@@ -405,11 +395,133 @@ fn derive_job(id: u64, fingerprint: String, spec: &JobSpec) -> Result<WorkerJob,
         trace,
         plan,
         corpus0,
+        budget,
         epoch: None,
-        epoch_corpus: Vec::new(),
-        epoch_paths: Vec::new(),
-        epoch_seen: CoverageMap::default(),
+        lineage: Vec::new(),
+        guided: GuidedEpoch::default(),
+        targets: JobTargets::cold(factory),
     })
+}
+
+impl<F, T> WorkerJob<F, T>
+where
+    F: for<'t> TargetFactory<Target<'t> = T>,
+    T: FuzzTarget,
+{
+    /// Install a guided generation: corpus `initial ++ promoted`, as
+    /// `SharedEngine` keeps it, and seed paths from a lineage that must
+    /// pass [`lineage_problem`]. The warm slot context survives only if
+    /// the new corpus and lineage extend the old ones.
+    fn apply_epoch(
+        &mut self,
+        epoch: u64,
+        promoted: Vec<VmSeed>,
+        lineage: Vec<(usize, bool)>,
+        seen: CoverageMap,
+    ) -> Result<(), DistError> {
+        if let Some(problem) = lineage_problem(self.corpus0.len(), &lineage, promoted.len()) {
+            return Err(DistError::Protocol(format!("epoch {epoch}: {problem}")));
+        }
+        let mut corpus = self.corpus0.clone();
+        corpus.extend(promoted);
+        if !(corpus.starts_with(&self.guided.corpus) && lineage.starts_with(&self.lineage)) {
+            self.targets.forget_slots();
+        }
+        self.guided = GuidedEpoch {
+            paths: corpus_paths(self.corpus0.len(), &lineage),
+            corpus,
+            seen,
+        };
+        self.lineage = lineage;
+        self.epoch = Some(epoch);
+        Ok(())
+    }
+
+    /// Check a lease against the locally derived job before running
+    /// any of it.
+    fn validate_lease(
+        &self,
+        kind: &LeaseKind,
+        range: LeaseRange,
+        rng_seed: u64,
+        epoch: u64,
+    ) -> Result<(), DistError> {
+        match *kind {
+            LeaseKind::CampaignChunk { testcase_index } => {
+                let Some(tc) = self.plan.get(testcase_index) else {
+                    return Err(DistError::Protocol(format!(
+                        "lease names test case {testcase_index} outside the {}-entry plan",
+                        self.plan.len()
+                    )));
+                };
+                if tc.rng_seed != rng_seed {
+                    return Err(DistError::Protocol(
+                        "lease rng seed disagrees with the locally derived plan".to_owned(),
+                    ));
+                }
+                if range.start.saturating_add(range.len) > tc.mutants as u64 {
+                    return Err(DistError::Protocol(format!(
+                        "lease range {}..{} beyond the test case's {} mutants",
+                        range.start,
+                        range.start.saturating_add(range.len),
+                        tc.mutants
+                    )));
+                }
+                Ok(())
+            }
+            LeaseKind::GuidedSlotRange => {
+                if self.epoch != Some(epoch) {
+                    return Err(DistError::Protocol(format!(
+                        "guided lease for epoch {epoch} but worker holds {:?}",
+                        self.epoch
+                    )));
+                }
+                if self.guided.corpus.is_empty() {
+                    return Err(DistError::Protocol(
+                        "guided lease with an empty scheduling corpus".to_owned(),
+                    ));
+                }
+                if range
+                    .start
+                    .checked_add(range.len)
+                    .is_none_or(|end| end > self.budget)
+                {
+                    return Err(DistError::Protocol(format!(
+                        "guided lease of {} slots at {} beyond the job's {}-slot budget",
+                        range.len, range.start, self.budget
+                    )));
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Run one validated lease on the job's warm targets —
+    /// [`execute_range`], the same core the coordinator's adjudicating
+    /// re-execution runs on a cold instance.
+    fn compute_lease(
+        &mut self,
+        kind: &LeaseKind,
+        range: LeaseRange,
+        rng_seed: u64,
+    ) -> Result<RangeOutput, DistError> {
+        let detail = match *kind {
+            LeaseKind::CampaignChunk { testcase_index } => {
+                let Some(tc) = self.plan.get(testcase_index) else {
+                    return Err(DistError::Protocol("lease outran the plan".to_owned()));
+                };
+                ExecDetail::Campaign(tc)
+            }
+            LeaseKind::GuidedSlotRange => ExecDetail::Guided(&self.guided),
+        };
+        Ok(execute_range(
+            &mut self.targets,
+            &self.trace,
+            &detail,
+            range,
+            rng_seed,
+        ))
+    }
 }
 
 /// Run `compute` on the calling thread while a sibling thread writes
@@ -459,112 +571,32 @@ where
 }
 
 /// Validate and execute one lease under heartbeats.
-#[allow(clippy::too_many_arguments)]
 fn compute_with_heartbeats(
     stream: &mut TcpStream,
     opts: &WorkerOptions,
-    backend: Backend,
-    job: &WorkerJob,
+    job: &mut WorkerJob,
     kind: &LeaseKind,
     range: LeaseRange,
     rng_seed: u64,
     epoch: u64,
 ) -> Result<RangeOutput, DistError> {
-    validate_lease(job, kind, range, rng_seed, epoch)?;
+    job.validate_lease(kind, range, rng_seed, epoch)?;
     let heartbeat = Duration::from_millis(opts.heartbeat_ms.max(1));
     run_with_heartbeats(stream, heartbeat, || {
-        compute_lease(backend, job, kind, range, rng_seed)
+        job.compute_lease(kind, range, rng_seed)
     })?
-}
-
-fn validate_lease(
-    job: &WorkerJob,
-    kind: &LeaseKind,
-    range: LeaseRange,
-    rng_seed: u64,
-    epoch: u64,
-) -> Result<(), DistError> {
-    match *kind {
-        LeaseKind::CampaignChunk { testcase_index } => {
-            let Some(tc) = job.plan.get(testcase_index) else {
-                return Err(DistError::Protocol(format!(
-                    "lease names test case {testcase_index} outside the {}-entry plan",
-                    job.plan.len()
-                )));
-            };
-            if tc.rng_seed != rng_seed {
-                return Err(DistError::Protocol(
-                    "lease rng seed disagrees with the locally derived plan".to_owned(),
-                ));
-            }
-            if range.start.saturating_add(range.len) > tc.mutants as u64 {
-                return Err(DistError::Protocol(format!(
-                    "lease range {}..{} beyond the test case's {} mutants",
-                    range.start,
-                    range.start.saturating_add(range.len),
-                    tc.mutants
-                )));
-            }
-            Ok(())
-        }
-        LeaseKind::GuidedSlotRange => {
-            if job.epoch != Some(epoch) {
-                return Err(DistError::Protocol(format!(
-                    "guided lease for epoch {epoch} but worker holds {:?}",
-                    job.epoch
-                )));
-            }
-            if job.epoch_corpus.is_empty() {
-                return Err(DistError::Protocol(
-                    "guided lease with an empty scheduling corpus".to_owned(),
-                ));
-            }
-            Ok(())
-        }
-    }
-}
-
-/// The actual range execution — [`execute_range`], the same core the
-/// coordinator's adjudicating re-execution runs, on a private target
-/// stack.
-fn compute_lease(
-    backend: Backend,
-    job: &WorkerJob,
-    kind: &LeaseKind,
-    range: LeaseRange,
-    rng_seed: u64,
-) -> Result<RangeOutput, DistError> {
-    match *kind {
-        LeaseKind::CampaignChunk { testcase_index } => {
-            let Some(tc) = job.plan.get(testcase_index) else {
-                return Err(DistError::Protocol("lease outran the plan".to_owned()));
-            };
-            Ok(execute_range(
-                &backend,
-                &job.trace,
-                &ExecDetail::Campaign(tc),
-                range,
-                rng_seed,
-            ))
-        }
-        LeaseKind::GuidedSlotRange => Ok(execute_range(
-            &backend,
-            &job.trace,
-            &ExecDetail::Guided {
-                corpus: &job.epoch_corpus,
-                paths: &job.epoch_paths,
-                seen: &job.epoch_seen,
-            },
-            range,
-            rng_seed,
-        )),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iris_core::forest::StateId;
+    use iris_fuzzer::guided::{measure_baseline, GuidedConfig, SharedEngine};
+    use iris_fuzzer::target::{BootPlan, SubmitOutcome};
+    use iris_guest::workloads::Workload;
     use std::net::TcpListener;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
 
     fn loopback_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -627,6 +659,320 @@ mod tests {
             }
             other => panic!("expected heartbeat-delivery disconnect, got {other:?}"),
         }
+    }
+
+    /// Counts the boots of every target a job builds (the stock
+    /// backend underneath).
+    struct CountingFactory {
+        boots: Arc<AtomicUsize>,
+    }
+
+    struct CountingTarget {
+        inner: HvTarget,
+        boots: Arc<AtomicUsize>,
+    }
+
+    impl FuzzTarget for CountingTarget {
+        fn boot(&mut self) {
+            self.boots.fetch_add(1, Ordering::Relaxed);
+            self.inner.boot();
+        }
+
+        fn submit(&mut self, seed: &VmSeed) -> SubmitOutcome {
+            self.inner.submit(seed)
+        }
+
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+
+        fn pin_state(&mut self) -> Option<StateId> {
+            self.inner.pin_state()
+        }
+
+        fn reset_to(&mut self, id: StateId) -> bool {
+            self.inner.reset_to(id)
+        }
+    }
+
+    impl TargetFactory for CountingFactory {
+        type Target<'t> = CountingTarget;
+
+        fn build(&self, plan: BootPlan<'_>) -> CountingTarget {
+            CountingTarget {
+                inner: Backend::Iris.build(plan),
+                boots: Arc::clone(&self.boots),
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            Backend::Iris.name()
+        }
+
+        fn description(&self) -> &'static str {
+            Backend::Iris.description()
+        }
+    }
+
+    fn spec(kind: JobKind) -> JobSpec {
+        JobSpec {
+            target: "iris".to_owned(),
+            workload: Workload::OsBoot.label().to_owned(),
+            exits: 150,
+            seed: 42,
+            kind,
+        }
+    }
+
+    fn counting_job(
+        kind: JobKind,
+    ) -> (WorkerJob<CountingFactory, CountingTarget>, Arc<AtomicUsize>) {
+        let boots = Arc::new(AtomicUsize::new(0));
+        let factory = CountingFactory {
+            boots: Arc::clone(&boots),
+        };
+        let job = derive_job(1, "fp".to_owned(), &spec(kind), factory).unwrap();
+        (job, boots)
+    }
+
+    /// The same range on a freshly built, cold instance — what the
+    /// coordinator's adjudication runs.
+    fn cold(
+        trace: &RecordedTrace,
+        detail: &ExecDetail<'_>,
+        range: LeaseRange,
+        rng_seed: u64,
+    ) -> RangeOutput {
+        execute_range(
+            &mut JobTargets::cold(Backend::Iris),
+            trace,
+            detail,
+            range,
+            rng_seed,
+        )
+    }
+
+    #[test]
+    fn warm_targets_boot_once_per_campaign_job_in_any_lease_order() {
+        let (mut job, boots) = counting_job(JobKind::Campaign {
+            mutants: 12,
+            chunk: 4,
+        });
+        // Two test cases at different seed prefixes, three leases each,
+        // served deepest prefix first and interleaved.
+        let mut cells: Vec<usize> = Vec::new();
+        for (i, tc) in job.plan.iter().enumerate() {
+            if cells
+                .iter()
+                .all(|&c| job.plan[c].seed_index != tc.seed_index)
+            {
+                cells.push(i);
+            }
+        }
+        cells.truncate(2);
+        assert_eq!(cells.len(), 2, "plan needs two distinct seed prefixes");
+        cells.sort_by_key(|&c| std::cmp::Reverse(job.plan[c].seed_index));
+        let mut leases = Vec::new();
+        for start in [8u64, 0, 4] {
+            for &c in &cells {
+                leases.push((c, LeaseRange { start, len: 4 }));
+            }
+        }
+        for (c, range) in leases {
+            let kind = LeaseKind::CampaignChunk { testcase_index: c };
+            let rng_seed = job.plan[c].rng_seed;
+            job.validate_lease(&kind, range, rng_seed, 0).unwrap();
+            let warm = job.compute_lease(&kind, range, rng_seed).unwrap();
+            let tc = &job.plan[c];
+            let want = cold(&job.trace, &ExecDetail::Campaign(tc), range, rng_seed);
+            assert_eq!(warm, want, "test case {c} range {range:?}: warm != cold");
+        }
+        assert_eq!(
+            boots.load(Ordering::Relaxed),
+            1,
+            "one boot per job, not per lease"
+        );
+    }
+
+    /// Drive a guided job through `epochs` generations the way the
+    /// coordinator does, leasing each batch to `job` in two halves and
+    /// checking every output against a cold instance. Returns the
+    /// coordinator-side engine.
+    fn serve_guided_epochs(
+        job: &mut WorkerJob<CountingFactory, CountingTarget>,
+        epochs: u64,
+    ) -> SharedEngine {
+        let config = GuidedConfig {
+            budget: job.budget,
+            generation: 32,
+            rng_seed: 42,
+            ..GuidedConfig::default()
+        };
+        let baseline = measure_baseline(&Backend::Iris, &job.trace, &job.corpus0);
+        let mut engine = SharedEngine::fresh(&job.trace, config, baseline);
+        for epoch in 0..epochs {
+            let batch = engine.batch().expect("budget covers every epoch");
+            job.apply_epoch(
+                epoch,
+                engine.promoted().to_vec(),
+                engine.lineage().to_vec(),
+                engine.seen().clone(),
+            )
+            .unwrap();
+            let half = batch.len / 2;
+            let mut outcomes = Vec::new();
+            for range in [
+                LeaseRange {
+                    start: batch.start,
+                    len: half,
+                },
+                LeaseRange {
+                    start: batch.start + half,
+                    len: batch.len - half,
+                },
+            ] {
+                let kind = LeaseKind::GuidedSlotRange;
+                job.validate_lease(&kind, range, 42, epoch).unwrap();
+                let warm = job.compute_lease(&kind, range, 42).unwrap();
+                let reference = GuidedEpoch {
+                    corpus: engine.corpus().to_vec(),
+                    paths: engine.paths().to_vec(),
+                    seen: engine.seen().clone(),
+                };
+                let want = cold(&job.trace, &ExecDetail::Guided(&reference), range, 42);
+                assert_eq!(warm, want, "epoch {epoch}");
+                match warm {
+                    RangeOutput::Guided(out) => outcomes.extend(out),
+                    RangeOutput::Campaign(_) => panic!("guided lease ran a campaign chunk"),
+                }
+            }
+            engine.fold_generation(outcomes);
+        }
+        engine
+    }
+
+    #[test]
+    fn warm_targets_boot_once_per_guided_job_across_epochs() {
+        let (mut job, boots) = counting_job(JobKind::Guided {
+            budget: 96,
+            generation: 32,
+        });
+        let engine = serve_guided_epochs(&mut job, 3);
+        assert!(
+            !engine.lineage().is_empty(),
+            "the run must promote, so later epochs position at promoted paths"
+        );
+        assert_eq!(boots.load(Ordering::Relaxed), 1, "one boot across epochs");
+    }
+
+    #[test]
+    fn warm_targets_drop_the_slot_cache_on_a_non_extending_lineage() {
+        let (mut job, boots) = counting_job(JobKind::Guided {
+            budget: 96,
+            generation: 32,
+        });
+        let engine = serve_guided_epochs(&mut job, 2);
+        assert_eq!(boots.load(Ordering::Relaxed), 1);
+        // Same corpus indices, one promotion's path changed: the cached
+        // node for that index is stale, so the context must go.
+        let mut lineage = engine.lineage().to_vec();
+        assert!(!lineage.is_empty(), "the run must promote");
+        lineage[0].1 = !lineage[0].1;
+        let promoted = engine.promoted().to_vec();
+        let seen = engine.seen().clone();
+        job.apply_epoch(2, promoted.clone(), lineage.clone(), seen.clone())
+            .unwrap();
+        let range = LeaseRange { start: 64, len: 32 };
+        let kind = LeaseKind::GuidedSlotRange;
+        job.validate_lease(&kind, range, 42, 2).unwrap();
+        let warm = job.compute_lease(&kind, range, 42).unwrap();
+        assert_eq!(
+            boots.load(Ordering::Relaxed),
+            2,
+            "the slot context was rebuilt"
+        );
+        let mut corpus = job.corpus0.clone();
+        corpus.extend(promoted);
+        let reference = GuidedEpoch {
+            paths: corpus_paths(job.corpus0.len(), &lineage),
+            corpus,
+            seen,
+        };
+        let want = cold(&job.trace, &ExecDetail::Guided(&reference), range, 42);
+        assert_eq!(warm, want);
+    }
+
+    /// A guided job holding its first epoch (the initial corpus).
+    fn guided_job_at_epoch_zero() -> WorkerJob<CountingFactory, CountingTarget> {
+        let (mut job, _) = counting_job(JobKind::Guided {
+            budget: 96,
+            generation: 32,
+        });
+        job.apply_epoch(0, Vec::new(), Vec::new(), CoverageMap::default())
+            .unwrap();
+        job
+    }
+
+    fn is_protocol<T: std::fmt::Debug>(result: Result<T, DistError>) -> bool {
+        matches!(result, Err(DistError::Protocol(_)))
+    }
+
+    #[test]
+    fn a_guided_lease_whose_end_overflows_is_refused() {
+        let job = guided_job_at_epoch_zero();
+        let range = LeaseRange {
+            start: 1,
+            len: u64::MAX,
+        };
+        assert!(is_protocol(job.validate_lease(
+            &LeaseKind::GuidedSlotRange,
+            range,
+            42,
+            0
+        )));
+    }
+
+    #[test]
+    fn a_guided_lease_past_the_budget_is_refused() {
+        let job = guided_job_at_epoch_zero();
+        let ok = LeaseRange { start: 64, len: 32 };
+        assert!(job
+            .validate_lease(&LeaseKind::GuidedSlotRange, ok, 42, 0)
+            .is_ok());
+        let past = LeaseRange { start: 95, len: 2 };
+        assert!(is_protocol(job.validate_lease(
+            &LeaseKind::GuidedSlotRange,
+            past,
+            42,
+            0
+        )));
+    }
+
+    #[test]
+    fn an_epoch_whose_lineage_names_a_later_base_is_refused() {
+        let mut job = guided_job_at_epoch_zero();
+        let seed = job.corpus0[0].clone();
+        // The first promotion is corpus entry `initial_len`; naming
+        // itself as its base is not an earlier entry.
+        let lineage = vec![(job.corpus0.len(), true)];
+        assert!(is_protocol(job.apply_epoch(
+            1,
+            vec![seed],
+            lineage,
+            CoverageMap::default()
+        )));
+    }
+
+    #[test]
+    fn an_epoch_whose_lineage_misses_a_promotion_is_refused() {
+        let mut job = guided_job_at_epoch_zero();
+        let seed = job.corpus0[0].clone();
+        assert!(is_protocol(job.apply_epoch(
+            1,
+            vec![seed],
+            Vec::new(),
+            CoverageMap::default()
+        )));
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn campaign_reference(spec: &JobSpec) -> (String, usize) {
 }
 
 /// The jobs=1 in-process reference bytes for a guided spec — what
-/// `iris guided --mode shared --jobs 1 --json` writes.
+/// `iris guided --jobs 1 --json` writes.
 fn guided_reference(spec: &JobSpec) -> String {
     let backend = spec.backend().expect("known backend");
     let trace = spec.record_trace().expect("known workload");
@@ -103,6 +103,11 @@ impl Fleet {
 
     fn join(self) -> Vec<WorkerSummary> {
         self.stop.store(true, Ordering::SeqCst);
+        self.join_when_done()
+    }
+
+    /// Wait for workers that exit on their own (`fail_after_chunks`).
+    fn join_when_done(self) -> Vec<WorkerSummary> {
         self.handles
             .into_iter()
             .map(|h| {
@@ -180,10 +185,22 @@ fn worker_death_mid_lease_preserves_bytes() {
     let addr = server.addr().to_string();
     // One worker "SIGKILLs" after a single delivered chunk — it drops
     // the socket while holding its next lease; the healthy worker must
-    // absorb the re-leased range with no trace in the report bytes.
-    let fleet = Fleet::spawn(&addr, "iris", vec![Some(1), None]);
-    let outcome = submit(&addr, &spec, |_, _, _| {}).expect("submission completes");
-    let summaries = fleet.join();
+    // absorb the re-leased range with no trace in the report bytes. The
+    // healthy worker joins only after the death, so a fast healthy
+    // worker cannot drain the plan before the failing one's second
+    // lease.
+    let failing = Fleet::spawn(&addr, "iris", vec![Some(1)]);
+    let client = {
+        let (addr, spec) = (addr.clone(), spec.clone());
+        std::thread::spawn(move || submit(&addr, &spec, |_, _, _| {}))
+    };
+    let mut summaries = failing.join_when_done();
+    let healthy = Fleet::spawn(&addr, "iris", vec![None]);
+    let outcome = client
+        .join()
+        .expect("client thread must not panic")
+        .expect("submission completes");
+    summaries.extend(healthy.join());
     server.stop();
 
     assert!(

@@ -9,14 +9,13 @@
 //!
 //! This module holds the per-chunk core of that loop
 //! ([`run_mutant_range_on`]) and the assembly of a test case's chunks
-//! ([`assemble_test_case`]); the one campaign engine,
-//! [`crate::parallel::ParallelCampaign`], runs plans on them over
-//! long-lived targets it positions through the snapshot forest, and its
-//! `jobs=1` run is the reference. [`run_mutant_range_with`] runs one
-//! range on a freshly booted target: the per-lease path of the
-//! distributed workers (`crates/dist`), and the fresh-boot reference
-//! the conformance suite holds the engine against. The SUT lifecycle
-//! (reach `s1`, submit, reset after a crash) lives behind the
+//! ([`assemble_test_case`]). Every driver — the one campaign engine,
+//! [`crate::parallel::ParallelCampaign`], and the distributed workers
+//! (`crates/dist`) — runs the core on a long-lived target positioned
+//! through the snapshot forest ([`crate::parallel::PrefixServer`]);
+//! [`run_mutant_range_with`] is the pin-free reference the tests hold
+//! it against. The SUT lifecycle (reach `s1`, submit, reset after a
+//! crash) lives behind the
 //! [`FuzzTarget`] trait, so the same core fuzzes any registered backend
 //! ([`crate::target::Backend`]); it is generic over the
 //! [`TargetFactory`], keeping submission statically dispatched.
@@ -24,7 +23,7 @@
 use crate::corpus::{Corpus, CrashRecord};
 use crate::failure::FailureStats;
 use crate::mutation::{mutant_rng, mutate};
-use crate::target::{BootPlan, FuzzTarget, TargetFactory};
+use crate::target::{replay_seeds, BootPlan, FuzzTarget, TargetFactory};
 use crate::testcase::{MutantRange, TestCase};
 use iris_core::trace::RecordedTrace;
 use iris_hv::coverage::CoverageMap;
@@ -72,38 +71,37 @@ pub struct ChunkOutput {
     pub corpus: Corpus,
 }
 
-/// The range-parameterized core every driver shares: build a private
-/// target from `factory`, boot it to `s1`, measure the `VM_seed_R`
-/// baseline, then submit mutants `range.start..range.end()` of the
-/// fuzzing sequence with crash recovery.
+/// The pin-free test reference for one mutant range: a fresh target
+/// that replays the seed prefix by plain submission, then runs the
+/// chunk core with a reset to `s1` plus a re-replay as crash recovery.
+/// It never pins or restores a forest node; no driver runs it.
 ///
-/// Each mutant draws from the per-range RNG law
-/// ([`crate::mutation::mutant_rng`]): the chunk seeds its RNG from
-/// `rng_seed ⊕ range_start` and re-derives it per index, so the mutant
-/// stream — and, because submissions are history-independent from the
-/// canonical post-baseline state, the outcome stream — is invariant
-/// under the partition of `0..mutants` into chunks. Distributed workers
-/// call it per leased range; the in-process engine instead positions a
-/// long-lived target and calls [`run_mutant_range_on`].
+/// The mutant stream follows the per-range RNG law
+/// ([`crate::mutation::mutant_rng`]), so the outcome stream is
+/// invariant under the partition of `0..mutants` into chunks.
 ///
 /// # Panics
-/// Panics if `range` reaches beyond `testcase.mutants` — a malformed
-/// chunk list, not a runtime condition.
+/// Panics if `range` reaches beyond `testcase.mutants` or
+/// `testcase.seed_index` beyond the trace — a malformed chunk list, not
+/// a runtime condition.
 pub fn run_mutant_range_with<F: TargetFactory>(
     factory: &F,
     trace: &RecordedTrace,
     testcase: &TestCase,
     range: MutantRange,
 ) -> ChunkOutput {
-    // Reach s1 once per range; the target roots its forest there so
-    // crash recovery is a restore in O(dirty state) instead of
-    // rebuilding the stack and replaying the whole prefix again. (`for_test_case`
-    // bounds-checks the seed index.)
-    let mut target = factory.build(BootPlan::for_test_case(trace, testcase.seed_index));
+    // An out-of-trace seed index replays nothing here and trips the
+    // core's bounds assert.
+    let prefix = trace.seeds.get(..testcase.seed_index).unwrap_or_default();
+    let mut target = factory.build(BootPlan::for_test_case(trace));
     target.boot();
+    replay_seeds(&mut target, prefix);
     run_mutant_range_on(
         &mut target,
-        &mut |t: &mut _| t.reset(),
+        &mut |t: &mut _| {
+            t.reset();
+            replay_seeds(t, prefix);
+        },
         trace,
         testcase,
         range,
@@ -114,13 +112,14 @@ pub fn run_mutant_range_with<F: TargetFactory>(
 /// sit in the test case's `s1` (the state right before `VM_seed_R`),
 /// and `restore_s1` must re-establish exactly that state — it is
 /// invoked after every crashing mutant, before the driver re-submits
-/// `VM_seed_R`. [`run_mutant_range_with`] passes a freshly booted
-/// target and [`FuzzTarget::reset`]; the sharded executor instead
-/// passes a long-lived target positioned via a pinned
+/// `VM_seed_R`. [`crate::parallel::PrefixServer`] passes a long-lived
+/// target positioned via a pinned
 /// [`iris_core::forest::SnapshotForest`] node, with a `restore_s1`
-/// that restores that node in O(delta). Because the positioned state is
-/// the same in both cases (a forest node's state is a pure function of
-/// the replayed prefix), the chunk output is byte-identical either way.
+/// that restores that node in O(delta); [`run_mutant_range_with`]
+/// passes a fresh target and a reset plus prefix replay. Because the
+/// positioned state is the same in both cases (a forest node's state
+/// is a pure function of the replayed prefix), the chunk output is
+/// byte-identical either way.
 ///
 /// # Panics
 /// Panics if `range` reaches beyond `testcase.mutants` or
@@ -259,7 +258,7 @@ mod tests {
     use super::*;
     use crate::mutation::SeedArea;
     use crate::parallel::{CampaignReport, ParallelCampaign};
-    use crate::target::{record_trace, FaultyHvTarget, IrisHvTarget};
+    use crate::target::{record_trace, Backend};
     use crate::testcase::TestCase;
     use iris_guest::workloads::Workload;
     use iris_vtx::exit::ExitReason;
@@ -302,7 +301,7 @@ mod tests {
                 3,
             )
         };
-        let report = run_cell(IrisHvTarget::default(), &trace, &tc);
+        let report = run_cell(Backend::Iris, &trace, &tc);
         let r = &report.results[0];
         assert!(r.baseline_lines > 0);
         assert!(r.new_lines > 0, "bit flips must open new paths");
@@ -336,7 +335,7 @@ mod tests {
             mutants: 100,
             ..TestCase::new(Workload::OsBoot, idx, ExitReason::Cpuid, SeedArea::Gpr, 4)
         };
-        let report = run_cell(IrisHvTarget::default(), &trace, &tc);
+        let report = run_cell(Backend::Iris, &trace, &tc);
         let r = &report.results[0];
         // The paper: "In all other cases, the hypervisor is not affected
         // by the mutation" (GPR mutations outside CR ACCESS).
@@ -359,7 +358,7 @@ mod tests {
                 5,
             )
         };
-        let report = run_cell(IrisHvTarget::default(), &trace, &tc);
+        let report = run_cell(Backend::Iris, &trace, &tc);
         let r = &report.results[0];
         // Even with crashes along the way, all mutants were submitted.
         assert_eq!(r.failures.submitted, 60);
@@ -379,7 +378,7 @@ mod tests {
                 11,
             )
         };
-        let factory = IrisHvTarget::default();
+        let factory = Backend::Iris;
         let run = |chunk: usize| {
             let outputs: Vec<ChunkOutput> = tc
                 .chunks(chunk)
@@ -422,7 +421,7 @@ mod tests {
             ..TestCase::new(Workload::OsBoot, 0, trace.seeds[0].reason, SeedArea::Gpr, 1)
         };
         let _ = run_mutant_range_with(
-            &IrisHvTarget::default(),
+            &Backend::Iris,
             &trace,
             &tc,
             MutantRange { start: 4, len: 2 },
@@ -440,7 +439,7 @@ mod tests {
             mutants: 150,
             ..TestCase::new(Workload::OsBoot, idx, ExitReason::Cpuid, SeedArea::Gpr, 4)
         };
-        let report = run_cell(FaultyHvTarget::default(), &trace, &tc);
+        let report = run_cell(Backend::Faulty, &trace, &tc);
         let r = &report.results[0];
         assert!(
             r.failures.hv_crashes > 0,

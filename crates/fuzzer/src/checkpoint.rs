@@ -39,7 +39,7 @@
 
 use crate::corpus::Corpus;
 use crate::failure::FailureStats;
-use crate::guided::GuidedConfig;
+use crate::guided::{lineage_problem, GuidedConfig};
 use crate::parallel::CampaignReport;
 use crate::testcase::TestCase;
 use iris_core::seed::VmSeed;
@@ -247,15 +247,8 @@ impl GuidedCheckpoint {
             format!("is past the budget: {slot} > {}", config.budget)
         } else if slot != config.budget && !slot.is_multiple_of(generation) {
             format!("slot {slot} is not a generation boundary (generation {generation})")
-        } else if self.lineage.len() != promoted {
-            format!(
-                "lineage ({}) does not match its promotions ({promoted})",
-                self.lineage.len()
-            )
-        } else if let Some(k) = (self.lineage.iter().zip(initial_len..))
-            .position(|(&(base, _), earlier)| base >= earlier)
-        {
-            format!("promotion {k} does not name an earlier corpus entry as its base")
+        } else if let Some(problem) = lineage_problem(initial_len, &self.lineage, promoted) {
+            problem
         } else {
             return Ok(());
         };

@@ -49,7 +49,9 @@ use crate::corpus::{Corpus, CrashRecord};
 use crate::executor::{ExecutorError, RunPolicy};
 use crate::failure::FailureStats;
 use crate::strategies::scheduled_mutant;
-use crate::target::{BootPlan, CrashVerdict, FuzzTarget, IrisHvTarget, TargetFactory};
+use crate::target::{
+    Backend, BootPlan, ConfiguredBackend, CrashVerdict, FuzzTarget, TargetFactory,
+};
 use crate::testcase::TestCase;
 use iris_core::forest::StateId;
 use iris_core::seed::VmSeed;
@@ -309,6 +311,27 @@ pub fn corpus_paths(initial_len: usize, lineage: &[(usize, bool)]) -> Vec<Vec<us
         paths.push(path);
     }
     paths
+}
+
+/// What breaks the lineage rule [`corpus_paths`] relies on (one entry
+/// per promoted seed, each naming an earlier corpus entry as its base),
+/// or `None`. Checkpoints and distributed epochs are checked with it.
+#[must_use]
+pub fn lineage_problem(
+    initial_len: usize,
+    lineage: &[(usize, bool)],
+    promoted: usize,
+) -> Option<String> {
+    if lineage.len() != promoted {
+        Some(format!(
+            "lineage ({}) does not match its promotions ({promoted})",
+            lineage.len()
+        ))
+    } else {
+        (lineage.iter().zip(initial_len..))
+            .position(|(&(base, _), earlier)| base >= earlier)
+            .map(|k| format!("promotion {k} does not name an earlier corpus entry as its base"))
+    }
 }
 
 /// Per-worker slot execution state: one private booted target plus the
@@ -697,7 +720,10 @@ impl SharedEngine {
 #[must_use]
 pub fn run_guided_shared(trace: &RecordedTrace, config: GuidedConfig, jobs: usize) -> GuidedResult {
     run_guided_shared_with(
-        &IrisHvTarget::with_ram(config.ram_bytes),
+        &ConfiguredBackend {
+            ram_bytes: config.ram_bytes,
+            ..ConfiguredBackend::new(Backend::Iris)
+        },
         trace,
         config,
         jobs,

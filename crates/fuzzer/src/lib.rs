@@ -7,9 +7,9 @@
 //! and crashes.
 //!
 //! * [`target`] — the pluggable [`FuzzTarget`]/[`TargetFactory`] API:
-//!   the SUT lifecycle (boot to `s1`, submit, reset) behind a trait,
-//!   with the stock ([`IrisHvTarget`]) and fault-injection
-//!   ([`FaultyHvTarget`]) backends registered under [`Backend`].
+//!   the SUT lifecycle (boot to `s1`, submit, reset, pin and restore
+//!   forest nodes) behind a trait, with the stock and fault-injection
+//!   backends registered under [`Backend`].
 //! * [`mutation`] — the bit-flip rules over the two seed areas.
 //! * [`strategies`] — extended greybox mutations (havoc, arith,
 //!   interesting values, splice) per the paper's §IX future work.
@@ -25,18 +25,19 @@
 //!   driver runs on.
 //! * [`parallel`] — the campaign engine: sharded multi-worker
 //!   execution with deterministic (worker-count-independent)
-//!   aggregation, `jobs=1` being the reference; workers build private
-//!   target instances from a shared factory.
+//!   aggregation, `jobs=1` being the reference; each worker boots one
+//!   private target per workload and positions it per chunk.
 //! * [`failure`] — VM-crash vs hypervisor-crash classification.
 //! * [`corpus`] — reproducible, signature-deduplicated crash records.
 //! * [`table1`] — assembly of the paper's Table I.
 //!
-//! A fuzzing sequence against a backend, by hand — boot to `s1`, submit
-//! the baseline, mutate, reset on a crash:
+//! A fuzzing sequence against a backend, by hand — boot to `s1`, replay
+//! up to `VM_seed_R` and pin that state, submit the baseline, mutate,
+//! restore the pin on a crash:
 //!
 //! ```
 //! use iris_fuzzer::mutation::{mutate, SeedArea};
-//! use iris_fuzzer::target::{record_trace, BootPlan, FuzzTarget, IrisHvTarget, TargetFactory};
+//! use iris_fuzzer::target::{record_trace, replay_seeds, Backend, BootPlan, FuzzTarget, TargetFactory};
 //! use iris_guest::workloads::Workload;
 //! use iris_vtx::exit::ExitReason;
 //! use rand::rngs::SmallRng;
@@ -45,9 +46,11 @@
 //! let trace = record_trace(Workload::OsBoot, 80, 42);
 //! let idx = trace.seeds.iter().position(|s| s.reason == ExitReason::CrAccess).unwrap();
 //!
-//! let factory = IrisHvTarget::default(); // or FaultyHvTarget, or your own
-//! let mut target = factory.build(BootPlan::for_test_case(&trace, idx));
-//! target.boot();
+//! let factory = Backend::Iris; // or Backend::Faulty, or your own
+//! let mut target = factory.build(BootPlan::for_test_case(&trace));
+//! target.boot(); // s1, the snapshot forest's root
+//! replay_seeds(&mut target, &trace.seeds[..idx]);
+//! let before_seed = target.pin_state().expect("HvTarget has a forest");
 //! let baseline = target.submit(&trace.seeds[idx]);
 //! assert!(baseline.coverage.lines() > 0);
 //!
@@ -55,7 +58,7 @@
 //! for _ in 0..25 {
 //!     let (mutant, _) = mutate(&trace.seeds[idx], SeedArea::Vmcs, &mut rng);
 //!     if target.submit(&mutant).crash.is_some() {
-//!         target.reset(); // restore s1 and keep fuzzing
+//!         target.reset_to(before_seed); // O(delta) restore, keep fuzzing
 //!     }
 //! }
 //! ```
@@ -95,7 +98,7 @@ pub use parallel::{available_jobs, CampaignReport, CampaignRunOptions, ParallelC
 pub use strategies::{mutate_with, Strategy};
 pub use table1::Table1;
 pub use target::{
-    detect_planted_faults, record_trace, render_planted_fault_report, Backend, BootPlan,
-    CrashVerdict, FaultyHvTarget, FuzzTarget, HvTarget, IrisHvTarget, SubmitOutcome, TargetFactory,
+    detect_planted_faults, record_trace, render_planted_fault_report, replay_seeds, Backend,
+    BootPlan, ConfiguredBackend, CrashVerdict, FuzzTarget, HvTarget, SubmitOutcome, TargetFactory,
 };
 pub use testcase::TestCase;

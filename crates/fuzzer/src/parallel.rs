@@ -26,16 +26,18 @@
 //! idles: wall-clock is bounded by total mutants, not by the largest
 //! cell.
 //!
-//! Each worker keeps **one long-lived target per workload** (a prefix
-//! server) and boots it once. Positioning at a test case's seed prefix
-//! restores the deepest pinned [`iris_core::forest::SnapshotForest`]
-//! node and replays only the remaining seeds — O(delta) instead of
-//! O(prefix) — then pins the reached prefix once, so crash recovery
-//! inside the chunk and later chunks of the same cell restore it
-//! directly. Pins are pure accelerators (an evicted node is re-derived
-//! by replay), so a positioned target is in exactly the state a fresh
-//! boot at that prefix ([`crate::campaign::run_mutant_range_with`])
-//! reaches.
+//! Each worker keeps **one long-lived target per workload** (a
+//! [`PrefixServer`]) and boots it once, to the forest root; the boot
+//! replays no seeds. Positioning at a test case's seed prefix restores
+//! the deepest pinned [`iris_core::forest::SnapshotForest`] node and
+//! replays only the remaining seeds — O(delta) instead of O(prefix) —
+//! then pins the reached prefix once, so crash recovery inside the
+//! chunk and later chunks of the same cell restore it directly. Pins
+//! are pure accelerators (an evicted node is re-derived by replay), so
+//! a positioned target is in exactly the state plain replay from `s1`
+//! reaches ([`crate::campaign::run_mutant_range_with`], the pin-free
+//! test reference). The distributed workers (`crates/dist`) keep one
+//! prefix server per job across leases the same way.
 //!
 //! Determinism is a hard requirement: the mutant stream is a pure
 //! function of `(rng_seed, mutant_index)`, chunk outputs merge in a
@@ -43,8 +45,8 @@
 //! (results, merged coverage, folded stats, deduplicated corpus) is
 //! byte-identical for **any** `(jobs, chunk)` combination and forest
 //! cap. [`ParallelCampaign`] is the only campaign engine: `jobs=1` is
-//! the reference (`with_chunk(usize::MAX)` makes it the
-//! paper's one-boot-per-test-case loop), and the committed goldens under
+//! the reference (`with_chunk(usize::MAX)` makes it the paper's
+//! one-position-per-test-case loop), and the committed goldens under
 //! `tests/golden/` pin its report bytes.
 
 use crate::campaign::{assemble_test_case, run_mutant_range_on, ChunkOutput, TestCaseResult};
@@ -52,7 +54,7 @@ use crate::checkpoint::CampaignCheckpoint;
 use crate::corpus::Corpus;
 use crate::executor::{ExecutorError, RunPolicy};
 use crate::failure::FailureStats;
-use crate::target::{BootPlan, FuzzTarget, IrisHvTarget, TargetFactory};
+use crate::target::{replay_seeds, Backend, BootPlan, FuzzTarget, TargetFactory};
 use crate::testcase::{MutantRange, TestCase, DEFAULT_CHUNK};
 use iris_core::forest::StateId;
 use iris_core::trace::RecordedTrace;
@@ -114,12 +116,14 @@ impl Default for CampaignReport {
 
 /// Worker state for one workload: a long-lived target plus the pinned
 /// snapshot-forest node for each seed-prefix length served so far.
-/// Kept for the worker's whole run, so successive chunks over the same
+/// Kept for the worker's whole run (an in-process executor worker, or
+/// a distributed worker's job), so successive chunks over the same
 /// trace restore a pinned prefix instead of rebuilding the stack and
 /// replaying from scratch.
-struct PrefixServer<T> {
-    /// The long-lived target (built with a prefix-0 plan, so the forest
-    /// root is the trace's replay start state).
+#[derive(Debug)]
+pub struct PrefixServer<T> {
+    /// The long-lived target, booted to the trace's replay start state
+    /// (the forest root).
     target: T,
     /// `nodes[k]` pins the state after replaying `seeds[..k]` (`None`
     /// where no test case has asked for prefix `k`); `nodes[0]` is the
@@ -130,10 +134,10 @@ struct PrefixServer<T> {
 }
 
 impl<T: FuzzTarget> PrefixServer<T> {
-    /// Boot a freshly built target into a server (the target must come
-    /// from a prefix-0 plan, so the forest root is the state right
-    /// before `seeds[0]`).
-    fn new(mut target: T) -> PrefixServer<T> {
+    /// Boot a freshly built target into a server. Build it from
+    /// [`BootPlan::for_test_case`] over the trace whose chunks it will
+    /// serve, so the forest root is the state right before `seeds[0]`.
+    pub fn new(mut target: T) -> PrefixServer<T> {
         target.boot();
         PrefixServer {
             target,
@@ -145,9 +149,14 @@ impl<T: FuzzTarget> PrefixServer<T> {
     /// node restore + remainder replay), then run the shared chunk core
     /// with a `restore_s1` that re-positions the same way after a
     /// crash. Byte-identical to
-    /// [`crate::campaign::run_mutant_range_with`], which boots a fresh
-    /// target to the same state.
-    fn run_chunk(
+    /// [`crate::campaign::run_mutant_range_with`], which reaches the
+    /// same state by plain replay.
+    ///
+    /// # Panics
+    /// Panics if the test case's seed index or `range` is beyond the
+    /// trace or the test case — a malformed plan, not a runtime
+    /// condition.
+    pub fn run_chunk(
         &mut self,
         trace: &RecordedTrace,
         testcase: &TestCase,
@@ -172,8 +181,8 @@ impl<T: FuzzTarget> PrefixServer<T> {
 /// chunks of the cell, deeper cells of the same trace) restores in
 /// O(delta). Pinning every replayed step instead would cost one delta
 /// capture and one LRU collapse per prefix seed.
-/// The positioned state is byte-identical to a fresh
-/// [`BootPlan::for_test_case`] boot at `prefix` — a forest node's state
+/// The positioned state is byte-identical to replaying `seeds[..prefix]`
+/// on a fresh [`BootPlan::for_test_case`] boot — a forest node's state
 /// is a pure function of the replayed prefix.
 ///
 /// # Panics
@@ -213,14 +222,7 @@ fn position<T: FuzzTarget>(
         from -= 1;
     }
     // lint:allow(panic-path-audit) -- from <= prefix, asserted in range against trace.seeds above
-    for seed in &trace.seeds[from..prefix] {
-        let out = target.submit(seed);
-        debug_assert!(
-            out.crash.is_none(),
-            "prefix replay must be clean: {:?}",
-            out.crash
-        );
-    }
+    replay_seeds(target, &trace.seeds[from..prefix]);
     if from < prefix {
         // lint:allow(panic-path-audit) -- nodes was resized to prefix+1 entries above
         nodes[prefix] = target.pin_state();
@@ -261,7 +263,7 @@ pub struct CampaignRunOptions<'a> {
 /// [`crate::target::FuzzTarget`] instance per workload through the
 /// shared factory and positions it for each chunk it steals.
 #[derive(Debug, Clone, Copy)]
-pub struct ParallelCampaign<F: TargetFactory = IrisHvTarget> {
+pub struct ParallelCampaign<F: TargetFactory = Backend> {
     /// Worker thread count (≥ 1).
     pub jobs: usize,
     /// Mutants per work-stealing chunk (≥ 1); the report is
@@ -272,25 +274,13 @@ pub struct ParallelCampaign<F: TargetFactory = IrisHvTarget> {
     pub factory: F,
 }
 
-impl Default for ParallelCampaign {
-    fn default() -> Self {
-        Self::with_available_parallelism()
-    }
-}
-
 impl ParallelCampaign {
     /// A stock-backend executor with an explicit worker count (clamped
     /// to ≥ 1) and the default dummy-VM sizing
     /// ([`crate::campaign::DEFAULT_RAM_BYTES`]).
     #[must_use]
     pub fn new(jobs: usize) -> Self {
-        Self::with_factory(jobs, IrisHvTarget::default())
-    }
-
-    /// An executor sized to the host: one worker per available core.
-    #[must_use]
-    pub fn with_available_parallelism() -> Self {
-        Self::new(available_jobs())
+        Self::with_factory(jobs, Backend::Iris)
     }
 }
 
@@ -519,7 +509,8 @@ impl<F: TargetFactory> ParallelCampaign<F> {
         };
         // Persistent per-worker servers (one per workload) position
         // via pinned nodes instead of booting a fresh stack per chunk;
-        // the conformance suite holds them against fresh boots.
+        // the conformance suite holds them against the pin-free
+        // reference.
         let outcome = crate::executor::run_ordered_with(
             &jobs_list,
             self.jobs,
@@ -532,7 +523,7 @@ impl<F: TargetFactory> ParallelCampaign<F> {
                 servers
                     .entry(tc.workload)
                     .or_insert_with(|| {
-                        PrefixServer::new(factory.build(BootPlan::for_test_case(trace, 0)))
+                        PrefixServer::new(factory.build(BootPlan::for_test_case(trace)))
                     })
                     .run_chunk(trace, tc, range)
             },
@@ -666,14 +657,15 @@ mod tests {
 
     #[test]
     fn forest_mode_report_is_byte_identical_to_forest_off() {
-        use crate::target::{Backend, ConfiguredBackend};
+        use crate::target::ConfiguredBackend;
         use iris_core::forest::ForestConfig;
 
-        // "Forest off" is the fresh-boot reference: one boot per cell
-        // that never pins or restores a forest node.
+        // "Forest off" is the pin-free reference: one fresh target per
+        // cell that replays its prefix and never pins or restores a
+        // forest node.
         let trace = boot_trace(100);
         let plan = plan_over(&trace, 25);
-        let factory = IrisHvTarget::default();
+        let factory = Backend::Iris;
         let mut plain = CampaignReport::new();
         for tc in &plan {
             let cell = tc
@@ -700,7 +692,7 @@ mod tests {
             assert_eq!(
                 serde_json::to_string(&forest).unwrap(),
                 baseline,
-                "forest jobs={jobs} cap={cap} diverged from the fresh-boot reference"
+                "forest jobs={jobs} cap={cap} diverged from the pin-free reference"
             );
         }
     }

@@ -7,8 +7,9 @@
 //! lifecycle the campaign drivers used to hand-roll:
 //!
 //! * [`FuzzTarget::boot`] — bring the SUT up and reach the fuzzing start
-//!   state `s1` of Fig. 11 (build the stack, optionally fast-forward the
-//!   dummy VM's boot, replay the seed prefix, snapshot `s1`);
+//!   state `s1` of Fig. 11, the root of the target's snapshot forest
+//!   (build the stack, optionally fast-forward the dummy VM's boot,
+//!   snapshot — no seed replay);
 //! * [`FuzzTarget::submit`] — submit one VM seed and report what happened
 //!   (coverage touched, crash verdict, cycle cost);
 //! * [`FuzzTarget::reset`] — restore `s1` in O(dirty state), whether
@@ -24,24 +25,27 @@
 //! `reset_to` a restore to a pinned node; [`ForestConfig::cap`] only
 //! bounds how many pins survive.
 //!
-//! A [`TargetFactory`] builds private target instances, one per worker
-//! and test case, which is what lets [`crate::parallel::ParallelCampaign`]
-//! keep its byte-identical jobs=1/2/8 determinism guarantee: every test
-//! case runs on a fresh, self-contained instance whatever thread it lands
-//! on.
+//! A [`TargetFactory`] builds private target instances. Every driver
+//! boots one per worker and workload and keeps it for the whole run:
+//! a test case's seed prefix, or a corpus entry's seed path, is reached
+//! from `s1` the one way there is — restore the deepest pinned forest
+//! node and replay the rest
+//! ([`crate::parallel::PrefixServer`], [`crate::guided::SlotContext`]).
+//! Because a node's state is a pure function of its seed path, that
+//! keeps the byte-identical jobs=1/2/8 guarantee whatever thread or
+//! host a chunk lands on.
 //!
 //! Drivers are **generic** over the factory, so the per-exit hot path is
 //! statically dispatched — the trait adds no per-exit cost over calling
 //! the replay engine directly (see PERFORMANCE.md and the `target` arm of
 //! the `replay_throughput` bench).
 //!
-//! Two backends ship in-tree, enumerated by [`Backend`]:
-//!
-//! * [`IrisHvTarget`] — the stock hypervisor model;
-//! * [`FaultyHvTarget`] — the same hypervisor built with
-//!   [`FaultInjection::planted`] defects, giving Table I campaigns a
-//!   ground truth: [`detect_planted_faults`] states exactly which known
-//!   bugs a crash corpus found.
+//! [`Backend`] enumerates the two in-tree backends — `iris`, the stock
+//! hypervisor model, and `faulty`, the same hypervisor built with
+//! [`FaultInjection::planted`] defects, which gives Table I campaigns a
+//! ground truth: [`detect_planted_faults`] states exactly which known
+//! bugs a crash corpus found. [`ConfiguredBackend`] adds RAM sizing and
+//! the forest cap; both build [`HvTarget`]s.
 
 use crate::corpus::{Corpus, CrashRecord};
 use crate::failure::{classify, FailureKind};
@@ -57,47 +61,38 @@ use iris_hv::faults::{FaultInjection, PlantedFault};
 use iris_hv::hypervisor::{HvGlobals, Hypervisor};
 use iris_hv::log::Level;
 
-/// How a target reaches the fuzzing start state `s1`: which recorded
-/// trace to replay, how much of it, and whether the dummy VM boots first.
+/// How a target reaches the fuzzing start state `s1`, the root of its
+/// snapshot forest: the recorded trace it serves, and whether the
+/// dummy VM boots first. A boot replays no seeds; drivers reach a seed
+/// prefix from `s1` by forest restore plus replay of the rest
+/// ([`crate::parallel::PrefixServer`], [`crate::guided::SlotContext`]).
 #[derive(Debug, Clone, Copy)]
 pub struct BootPlan<'t> {
-    /// The recorded trace the prefix comes from.
+    /// The recorded trace the target serves.
     pub trace: &'t RecordedTrace,
-    /// Seeds `trace.seeds[..prefix]` are replayed after bring-up; `s1` is
-    /// the state right before seed `prefix`.
-    pub prefix: usize,
-    /// Fast-forward the dummy VM's boot before replaying. Campaigns set
-    /// this for post-boot workload traces (§VII-1: `s0` is the booted
+    /// Fast-forward the dummy VM's boot. Campaigns set this for
+    /// post-boot workload traces (§VII-1: `s0` is the booted
     /// snapshot); OS BOOT traces boot themselves.
     pub fast_forward: bool,
 }
 
 impl<'t> BootPlan<'t> {
-    /// The campaign plan for one test case: replay up to (excluding)
-    /// `seed_index`, booting first unless the trace is itself a boot.
-    ///
-    /// # Panics
-    /// Panics if `seed_index` is beyond the trace.
+    /// The campaign plan for a trace's test cases: boot first unless
+    /// the trace is itself a boot.
     #[must_use]
-    pub fn for_test_case(trace: &'t RecordedTrace, seed_index: usize) -> Self {
-        assert!(
-            seed_index < trace.seeds.len(),
-            "seed index beyond the trace"
-        );
+    pub fn for_test_case(trace: &'t RecordedTrace) -> Self {
         Self {
             trace,
-            prefix: seed_index,
             fast_forward: !trace.label.contains("BOOT"),
         }
     }
 
-    /// The guided-loop plan: a booted SUT with no replay prefix (`s1` is
-    /// the post-boot snapshot).
+    /// The guided-loop plan: a booted SUT (`s1` is the post-boot
+    /// snapshot).
     #[must_use]
     pub fn post_boot(trace: &'t RecordedTrace) -> Self {
         Self {
             trace,
-            prefix: 0,
             fast_forward: true,
         }
     }
@@ -184,11 +179,27 @@ pub trait FuzzTarget {
     }
 }
 
+/// Replay recorded seeds on `target` from its current state: how a
+/// positioning miss walks the rest of a seed prefix, and how the
+/// pin-free test references reach one from `s1`. Recorded seeds replay
+/// clean (debug-asserted).
+pub fn replay_seeds<T: FuzzTarget + ?Sized>(target: &mut T, seeds: &[VmSeed]) {
+    for seed in seeds {
+        let out = target.submit(seed);
+        debug_assert!(
+            out.crash.is_none(),
+            "prefix replay must be clean: {:?}",
+            out.crash
+        );
+    }
+}
+
 /// Builds private [`FuzzTarget`] instances — the seam the sharded
 /// executor fans out over (`Send + Sync` so worker threads can share the
 /// factory by reference).
 pub trait TargetFactory: Send + Sync {
-    /// The target type this factory builds; borrows the plan's trace.
+    /// The target type this factory builds; it may borrow the plan's
+    /// trace (the in-tree [`HvTarget`] does not).
     type Target<'t>: FuzzTarget + 't;
 
     /// Build an instance for one boot plan. The instance is not yet
@@ -229,21 +240,20 @@ struct HvStack {
 /// the [`ReplayEngine`], with `s1` captured as hypervisor globals plus
 /// the root of a [`SnapshotForest`]. Resets, pins and positioning
 /// restores all go through that forest in O(delta) — crash recovery
-/// included. Both in-tree factories build this type; they differ only
+/// included. Every [`Backend`] builds this type; backends differ only
 /// in the [`FaultInjection`] configuration baked into the build.
-pub struct HvTarget<'t> {
-    plan: BootPlan<'t>,
+pub struct HvTarget {
+    fast_forward: bool,
     ram_bytes: u64,
     faults: FaultInjection,
     forest: ForestConfig,
     state: Option<HvStack>,
 }
 
-impl std::fmt::Debug for HvTarget<'_> {
+impl std::fmt::Debug for HvTarget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HvTarget")
-            .field("trace", &self.plan.trace.label)
-            .field("prefix", &self.plan.prefix)
+            .field("fast_forward", &self.fast_forward)
             .field("ram_bytes", &self.ram_bytes)
             .field("faults", &self.faults)
             .field("forest", &self.forest)
@@ -252,7 +262,7 @@ impl std::fmt::Debug for HvTarget<'_> {
     }
 }
 
-impl HvTarget<'_> {
+impl HvTarget {
     /// The live hypervisor, for inspection (`None` before
     /// [`FuzzTarget::boot`]).
     #[must_use]
@@ -261,7 +271,7 @@ impl HvTarget<'_> {
     }
 }
 
-impl FuzzTarget for HvTarget<'_> {
+impl FuzzTarget for HvTarget {
     fn boot(&mut self) {
         let mut hv = Hypervisor::new();
         hv.faults = self.faults;
@@ -270,18 +280,10 @@ impl FuzzTarget for HvTarget<'_> {
         // messages on the submission loop from even being formatted.
         hv.log.set_min_level(Some(Level::Warning));
         let dummy = hv.create_hvm_domain(self.ram_bytes);
-        if self.plan.fast_forward {
+        if self.fast_forward {
             fast_forward_boot(&mut hv, dummy);
         }
-        let mut engine = ReplayEngine::new(&mut hv, dummy);
-        for seed in &self.plan.trace.seeds[..self.plan.prefix] {
-            let out = engine.submit(&mut hv, seed);
-            debug_assert!(
-                out.exit.crash.is_none(),
-                "prefix replay must be clean: {:?}",
-                out.exit.crash
-            );
-        }
+        let engine = ReplayEngine::new(&mut hv, dummy);
         let globals = hv.capture_globals();
         let forest = SnapshotForest::new(&hv, dummy, self.forest)
             .expect("the dummy domain was created above");
@@ -347,108 +349,11 @@ impl FuzzTarget for HvTarget<'_> {
     }
 }
 
-/// Factory for the stock hypervisor backend (registry name `iris`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IrisHvTarget {
-    /// Guest RAM for the dummy domain.
-    pub ram_bytes: u64,
-}
-
-impl Default for IrisHvTarget {
-    fn default() -> Self {
-        Self::with_ram(crate::campaign::DEFAULT_RAM_BYTES)
-    }
-}
-
-impl IrisHvTarget {
-    /// A factory with explicit dummy-VM sizing.
-    #[must_use]
-    pub fn with_ram(ram_bytes: u64) -> Self {
-        Self { ram_bytes }
-    }
-}
-
-/// The shared constructor both in-tree factories (and [`Backend`]) use:
-/// an un-booted [`HvTarget`] over the given plan, sizing, and fault
-/// configuration, with the default forest cap.
-fn build_hv_target(plan: BootPlan<'_>, ram_bytes: u64, faults: FaultInjection) -> HvTarget<'_> {
-    HvTarget {
-        plan,
-        ram_bytes,
-        faults,
-        forest: ForestConfig::default(),
-        state: None,
-    }
-}
-
-impl TargetFactory for IrisHvTarget {
-    type Target<'t> = HvTarget<'t>;
-
-    fn build<'t>(&self, plan: BootPlan<'t>) -> HvTarget<'t> {
-        build_hv_target(plan, self.ram_bytes, FaultInjection::NONE)
-    }
-
-    fn name(&self) -> &'static str {
-        "iris"
-    }
-
-    fn description(&self) -> &'static str {
-        "stock hypervisor model (the paper's SUT)"
-    }
-
-    fn forest(&self) -> Option<ForestConfig> {
-        Some(ForestConfig::default())
-    }
-}
-
-/// Factory for the fault-injection backend (registry name `faulty`):
-/// the same hypervisor with [`FaultInjection::planted`] defects, so
-/// campaigns have known bugs to detect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultyHvTarget {
-    /// Guest RAM for the dummy domain.
-    pub ram_bytes: u64,
-}
-
-impl Default for FaultyHvTarget {
-    fn default() -> Self {
-        Self::with_ram(crate::campaign::DEFAULT_RAM_BYTES)
-    }
-}
-
-impl FaultyHvTarget {
-    /// A factory with explicit dummy-VM sizing.
-    #[must_use]
-    pub fn with_ram(ram_bytes: u64) -> Self {
-        Self { ram_bytes }
-    }
-}
-
-impl TargetFactory for FaultyHvTarget {
-    type Target<'t> = HvTarget<'t>;
-
-    fn build<'t>(&self, plan: BootPlan<'t>) -> HvTarget<'t> {
-        build_hv_target(plan, self.ram_bytes, FaultInjection::planted())
-    }
-
-    fn name(&self) -> &'static str {
-        "faulty"
-    }
-
-    fn description(&self) -> &'static str {
-        "fault-injection build with planted handler bugs (ground-truth detection)"
-    }
-
-    fn forest(&self) -> Option<ForestConfig> {
-        Some(ForestConfig::default())
-    }
-}
-
 /// The registered backends, selectable by name (`--target`).
 ///
-/// `Backend` itself implements [`TargetFactory`] (with each backend's
-/// default sizing), so runtime backend selection is just passing the
-/// parsed value to a driver — no per-call-site dispatch match needed:
+/// `Backend` itself implements [`TargetFactory`] (with the default
+/// sizing), so runtime backend selection is just passing the parsed
+/// value to a driver — no per-call-site dispatch match needed:
 ///
 /// ```
 /// use iris_fuzzer::parallel::ParallelCampaign;
@@ -460,9 +365,11 @@ impl TargetFactory for FaultyHvTarget {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// [`IrisHvTarget`].
+    /// The stock hypervisor model (registry name `iris`).
     Iris,
-    /// [`FaultyHvTarget`].
+    /// The same hypervisor with [`FaultInjection::planted`] defects
+    /// (registry name `faulty`), so campaigns have known bugs to
+    /// detect.
     Faulty,
 }
 
@@ -475,29 +382,37 @@ impl Backend {
     pub fn parse(name: &str) -> Option<Backend> {
         Backend::ALL.iter().copied().find(|b| b.name() == name)
     }
+
+    /// The fault configuration this backend's hypervisor is built with.
+    #[must_use]
+    pub fn faults(self) -> FaultInjection {
+        match self {
+            Backend::Iris => FaultInjection::NONE,
+            Backend::Faulty => FaultInjection::planted(),
+        }
+    }
 }
 
 impl TargetFactory for Backend {
-    type Target<'t> = HvTarget<'t>;
+    type Target<'t> = HvTarget;
 
-    fn build<'t>(&self, plan: BootPlan<'t>) -> HvTarget<'t> {
-        match self {
-            Backend::Iris => IrisHvTarget::default().build(plan),
-            Backend::Faulty => FaultyHvTarget::default().build(plan),
-        }
+    fn build(&self, plan: BootPlan<'_>) -> HvTarget {
+        ConfiguredBackend::new(*self).build(plan)
     }
 
     fn name(&self) -> &'static str {
         match self {
-            Backend::Iris => IrisHvTarget::default().name(),
-            Backend::Faulty => FaultyHvTarget::default().name(),
+            Backend::Iris => "iris",
+            Backend::Faulty => "faulty",
         }
     }
 
     fn description(&self) -> &'static str {
         match self {
-            Backend::Iris => IrisHvTarget::default().description(),
-            Backend::Faulty => FaultyHvTarget::default().description(),
+            Backend::Iris => "stock hypervisor model (the paper's SUT)",
+            Backend::Faulty => {
+                "fault-injection build with planted handler bugs (ground-truth detection)"
+            }
         }
     }
 
@@ -540,16 +455,16 @@ impl ConfiguredBackend {
 }
 
 impl TargetFactory for ConfiguredBackend {
-    type Target<'t> = HvTarget<'t>;
+    type Target<'t> = HvTarget;
 
-    fn build<'t>(&self, plan: BootPlan<'t>) -> HvTarget<'t> {
-        let faults = match self.backend {
-            Backend::Iris => FaultInjection::NONE,
-            Backend::Faulty => FaultInjection::planted(),
-        };
-        let mut target = build_hv_target(plan, self.ram_bytes, faults);
-        target.forest = self.forest;
-        target
+    fn build(&self, plan: BootPlan<'_>) -> HvTarget {
+        HvTarget {
+            fast_forward: plan.fast_forward,
+            ram_bytes: self.ram_bytes,
+            faults: self.backend.faults(),
+            forest: self.forest,
+            state: None,
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -651,9 +566,9 @@ mod tests {
             .iter()
             .position(|s| s.reason == ExitReason::CrAccess)
             .expect("boot trace has CR accesses");
-        let factory = IrisHvTarget::default();
-        let mut target = factory.build(BootPlan::for_test_case(&trace, idx));
+        let mut target = Backend::Iris.build(BootPlan::for_test_case(&trace));
         target.boot();
+        replay_seeds(&mut target, &trace.seeds[..idx]);
         let out = target.submit(&trace.seeds[idx]);
         assert!(out.coverage.lines() > 0);
         assert!(out.crash.is_none(), "recorded seed replays cleanly");
@@ -668,9 +583,9 @@ mod tests {
             .iter()
             .position(|s| s.reason == ExitReason::CrAccess)
             .unwrap();
-        let factory = IrisHvTarget::default();
-        let mut target = factory.build(BootPlan::for_test_case(&trace, idx));
+        let mut target = Backend::Iris.build(BootPlan::for_test_case(&trace));
         target.boot();
+        replay_seeds(&mut target, &trace.seeds[..idx]);
         let baseline = target.submit(&trace.seeds[idx]);
 
         // Crash the SUT with a mutant flipping the exit reason into the
@@ -684,6 +599,7 @@ mod tests {
         let crashed = target.submit(&mutant);
         assert!(crashed.crash.is_some(), "mutant must crash");
         target.reset();
+        replay_seeds(&mut target, &trace.seeds[..idx]);
         let again = target.submit(&trace.seeds[idx]);
         assert_eq!(baseline.coverage, again.coverage);
         assert!(again.crash.is_none());
@@ -692,10 +608,11 @@ mod tests {
     #[test]
     fn faulty_backend_is_clean_on_recorded_seeds() {
         let trace = boot_trace(100);
-        let factory = FaultyHvTarget::default();
-        let mut target = factory.build(BootPlan::for_test_case(&trace, trace.seeds.len() - 1));
-        target.boot(); // replays the whole prefix with debug asserts on
-        let out = target.submit(&trace.seeds[trace.seeds.len() - 1]);
+        let mut target = Backend::Faulty.build(BootPlan::for_test_case(&trace));
+        target.boot();
+        let last = trace.seeds.len() - 1;
+        replay_seeds(&mut target, &trace.seeds[..last]); // debug asserts on
+        let out = target.submit(&trace.seeds[last]);
         assert!(
             out.crash.is_none(),
             "planted faults stay dormant: {:?}",
@@ -707,8 +624,7 @@ mod tests {
     #[should_panic(expected = "boot() the target first")]
     fn submitting_before_boot_is_a_driver_bug() {
         let trace = boot_trace(10);
-        let factory = IrisHvTarget::default();
-        let mut target = factory.build(BootPlan::post_boot(&trace));
+        let mut target = Backend::Iris.build(BootPlan::post_boot(&trace));
         let _ = target.submit(&trace.seeds[0]);
     }
 

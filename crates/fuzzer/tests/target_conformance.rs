@@ -19,8 +19,8 @@ use iris_fuzzer::mutation::SeedArea;
 use iris_fuzzer::parallel::{CampaignReport, ParallelCampaign};
 use iris_fuzzer::table1::Table1;
 use iris_fuzzer::target::{
-    record_trace, Backend, BootPlan, ConfiguredBackend, FaultyHvTarget, FuzzTarget, HvTarget,
-    IrisHvTarget, TargetFactory,
+    record_trace, replay_seeds, Backend, BootPlan, ConfiguredBackend, FuzzTarget, HvTarget,
+    TargetFactory,
 };
 use iris_fuzzer::testcase::TestCase;
 use iris_guest::workloads::Workload;
@@ -38,11 +38,11 @@ macro_rules! for_every_backend {
         for $backend in Backend::ALL {
             match $backend {
                 Backend::Iris => {
-                    let $factory = IrisHvTarget::default();
+                    let $factory = Backend::Iris;
                     $body
                 }
                 Backend::Faulty => {
-                    let $factory = FaultyHvTarget::default();
+                    let $factory = Backend::Faulty;
                     $body
                 }
             }
@@ -52,6 +52,27 @@ macro_rules! for_every_backend {
 
 fn boot_trace(n: usize) -> RecordedTrace {
     record_trace(Workload::OsBoot, n, 42)
+}
+
+/// A target booted to `s1` and replayed up to (excluding)
+/// `trace.seeds[idx]` — a test case's `VM_seed_R` state, reached the
+/// pin-free way.
+fn booted_at<'t, F: TargetFactory>(
+    factory: &F,
+    trace: &'t RecordedTrace,
+    idx: usize,
+) -> F::Target<'t> {
+    let mut target = factory.build(BootPlan::for_test_case(trace));
+    target.boot();
+    replay_seeds(&mut target, &trace.seeds[..idx]);
+    target
+}
+
+/// Back to the `VM_seed_R` state after a crash: reset to `s1`, replay
+/// the prefix again.
+fn reset_to_prefix<T: FuzzTarget>(target: &mut T, trace: &RecordedTrace, idx: usize) {
+    target.reset();
+    replay_seeds(target, &trace.seeds[..idx]);
 }
 
 fn find_seed(trace: &RecordedTrace, reason: ExitReason) -> usize {
@@ -80,10 +101,8 @@ fn boot_and_submit_are_deterministic_across_instances() {
     let trace = boot_trace(120);
     let idx = find_seed(&trace, ExitReason::CrAccess);
     for_every_backend!(|factory, backend| {
-        let mut a = factory.build(BootPlan::for_test_case(&trace, idx));
-        let mut b = factory.build(BootPlan::for_test_case(&trace, idx));
-        a.boot();
-        b.boot();
+        let mut a = booted_at(&factory, &trace, idx);
+        let mut b = booted_at(&factory, &trace, idx);
         for seed in [&trace.seeds[idx], &trace.seeds[0]] {
             let out_a = a.submit(seed);
             let out_b = b.submit(seed);
@@ -108,8 +127,7 @@ fn reset_restores_s1_after_a_domain_crash() {
     let trace = boot_trace(120);
     let idx = find_seed(&trace, ExitReason::CrAccess);
     for_every_backend!(|factory, backend| {
-        let mut target = factory.build(BootPlan::for_test_case(&trace, idx));
-        target.boot();
+        let mut target = booted_at(&factory, &trace, idx);
         let baseline = target.submit(&trace.seeds[idx]);
         assert!(
             baseline.crash.is_none(),
@@ -129,7 +147,7 @@ fn reset_restores_s1_after_a_domain_crash() {
             crashed.crash.is_some(),
             "{backend:?}: bad-RIP mutant must crash the domain"
         );
-        target.reset();
+        reset_to_prefix(&mut target, &trace, idx);
         let again = target.submit(&trace.seeds[idx]);
         assert_eq!(
             baseline.coverage, again.coverage,
@@ -144,8 +162,7 @@ fn reset_rebuilds_after_a_sut_fatal_crash() {
     let trace = boot_trace(120);
     let idx = find_seed(&trace, ExitReason::CrAccess);
     for_every_backend!(|factory, backend| {
-        let mut target = factory.build(BootPlan::for_test_case(&trace, idx));
-        target.boot();
+        let mut target = booted_at(&factory, &trace, idx);
         let baseline = target.submit(&trace.seeds[idx]);
 
         let crashed = target.submit(&hv_fatal_mutant(&trace, idx));
@@ -154,7 +171,7 @@ fn reset_rebuilds_after_a_sut_fatal_crash() {
             Some(iris_fuzzer::failure::FailureKind::HypervisorCrash),
             "{backend:?}: unhandled exit reason must be SUT-fatal"
         );
-        target.reset(); // restores the hypervisor globals too
+        reset_to_prefix(&mut target, &trace, idx); // restores the hypervisor globals too
         let again = target.submit(&trace.seeds[idx]);
         assert_eq!(
             baseline.coverage, again.coverage,
@@ -169,8 +186,7 @@ fn coverage_is_reproducible_and_monotone_over_a_sequence() {
     let trace = boot_trace(120);
     let idx = find_seed(&trace, ExitReason::Cpuid);
     for_every_backend!(|factory, backend| {
-        let mut target = factory.build(BootPlan::for_test_case(&trace, idx));
-        target.boot();
+        let mut target = booted_at(&factory, &trace, idx);
         // Same seed from the same state touches the same blocks.
         let first = target.submit(&trace.seeds[idx]);
         let second = target.submit(&trace.seeds[idx]);
@@ -185,7 +201,7 @@ fn coverage_is_reproducible_and_monotone_over_a_sequence() {
         for seed in trace.seeds.iter().take(30) {
             let out = target.submit(seed);
             if out.crash.is_some() {
-                target.reset();
+                reset_to_prefix(&mut target, &trace, idx);
             }
             seen.merge(&out.coverage);
             assert!(
@@ -350,10 +366,10 @@ fn guided_shared_forest_caps_are_byte_identical_to_the_default_cap() {
 }
 
 /// The campaign reference that never positions through the forest:
-/// every test case boots a fresh target at its own prefix
+/// every test case replays its own prefix on a fresh target
 /// ([`run_mutant_range_with`] over the whole cell), assembled and folded
 /// in plan order.
-fn fresh_boot_report<F: TargetFactory>(
+fn pin_free_report<F: TargetFactory>(
     factory: &F,
     trace: &RecordedTrace,
     plan: &[TestCase],
@@ -373,8 +389,9 @@ fn fresh_boot_report<F: TargetFactory>(
 fn campaign_forest_reports_are_byte_identical_to_forest_off() {
     // The campaign twin: prefix servers, which position every chunk
     // through pinned forest nodes, must fold to the same report bytes
-    // as the "forest off" reference — a fresh boot per test case that
-    // never pins or restores a node — for jobs ∈ {1, 2, 8}, on every
+    // as the "forest off" reference — a fresh target per test case that
+    // replays its prefix and never pins or restores a node — for
+    // jobs ∈ {1, 2, 8}, on every
     // registered backend, eviction pressure included.
     let trace = boot_trace(120);
     let mut plan = Vec::new();
@@ -396,7 +413,7 @@ fn campaign_forest_reports_are_byte_identical_to_forest_off() {
     }
 
     for_every_backend!(|factory, backend| {
-        let baseline = serde_json::to_string(&fresh_boot_report(&factory, &trace, &plan)).unwrap();
+        let baseline = serde_json::to_string(&pin_free_report(&factory, &trace, &plan)).unwrap();
         for (jobs, cap) in [(1usize, ForestConfig::DEFAULT_CAP), (2, 2), (8, 1)] {
             let forest = ConfiguredBackend::new(backend).with_forest(Some(ForestConfig { cap }));
             let report = ParallelCampaign::with_factory(jobs, forest)
@@ -405,7 +422,7 @@ fn campaign_forest_reports_are_byte_identical_to_forest_off() {
             assert_eq!(
                 serde_json::to_string(&report).unwrap(),
                 baseline,
-                "{backend:?}: forest jobs={jobs} cap={cap} diverged from the fresh-boot reference"
+                "{backend:?}: forest jobs={jobs} cap={cap} diverged from the pin-free reference"
             );
         }
     });
@@ -681,7 +698,6 @@ proptest! {
                 ConfiguredBackend::new(backend).with_forest(Some(ForestConfig { cap }));
             let mut target = forest_factory.build(BootPlan {
                 trace,
-                prefix: 0,
                 fast_forward: false,
             });
             target.boot();
@@ -738,7 +754,6 @@ proptest! {
 
                 let mut fresh = factory.build(BootPlan {
                     trace,
-                    prefix: 0,
                     fast_forward: false,
                 });
                 fresh.boot();
@@ -923,7 +938,7 @@ fn fatal_mutant(trace: &RecordedTrace, step: Step) -> Option<iris_core::seed::Vm
 
 /// What the reboot≡restore walk compares of the hypervisor globals:
 /// clock, console, cumulative coverage, crash state, IRIS toggles.
-fn globals(target: &HvTarget<'_>) -> String {
+fn globals(target: &HvTarget) -> String {
     let hv = target.hypervisor().expect("booted");
     let console: Vec<&str> = hv.log.lines().map(|l| l.message.as_str()).collect();
     format!(
@@ -944,7 +959,7 @@ fn globals(target: &HvTarget<'_>) -> String {
 fn check_recovery(
     factory: &ConfiguredBackend,
     plan: BootPlan<'_>,
-    target: &mut HvTarget<'_>,
+    target: &mut HvTarget,
     path: &mut Vec<usize>,
     probes: &[usize],
     after_reset: bool,
@@ -1007,7 +1022,7 @@ proptest! {
         probe_pick in any::<u64>(),
     ) {
         let trace = proptest_trace();
-        let plan = BootPlan::for_test_case(trace, prefix);
+        let plan = BootPlan::for_test_case(trace);
         let limit = trace.seeds.len().min(60);
         // Probes: two recorded seeds, drawn once per case.
         let probes = [
@@ -1019,7 +1034,10 @@ proptest! {
                 let factory = ConfiguredBackend::new(backend).with_forest(Some(ForestConfig { cap }));
                 let mut target = factory.build(plan);
                 target.boot();
-                let mut path: Vec<usize> = Vec::new();
+                // The walk starts at the seed prefix, reached by replay;
+                // the model path carries it until the first reset.
+                replay_seeds(&mut target, &trace.seeds[..prefix]);
+                let mut path: Vec<usize> = (0..prefix).collect();
                 let mut pins: Vec<(StateId, Vec<usize>)> = Vec::new();
                 let mut clean = true;
                 for &(op, arg) in &steps {
@@ -1129,8 +1147,7 @@ fn planted_faults_fire_only_on_the_faulty_backend() {
         },
     ];
 
-    let faulty =
-        ParallelCampaign::with_factory(2, FaultyHvTarget::default()).run_trace(&trace, &plan);
+    let faulty = ParallelCampaign::with_factory(2, Backend::Faulty).run_trace(&trace, &plan);
     let detections = iris_fuzzer::target::detect_planted_faults(&faulty.corpus);
     for (fault, hit) in &detections {
         assert!(
@@ -1140,7 +1157,7 @@ fn planted_faults_fire_only_on_the_faulty_backend() {
         );
     }
 
-    let stock = ParallelCampaign::with_factory(2, IrisHvTarget::default()).run_trace(&trace, &plan);
+    let stock = ParallelCampaign::with_factory(2, Backend::Iris).run_trace(&trace, &plan);
     assert!(
         stock
             .corpus

@@ -127,7 +127,7 @@ const MERGE_FILES: [&str; 15] = [
 
 /// Executor worker closures and slot/range run functions: the modules
 /// where a panic silently burns the worker-restart budget.
-const PANIC_SCOPE_FILES: [&str; 13] = [
+const PANIC_SCOPE_FILES: [&str; 14] = [
     "crates/fuzzer/src/executor.rs",
     "crates/fuzzer/src/guided.rs",
     "crates/fuzzer/src/campaign.rs",
@@ -145,6 +145,10 @@ const PANIC_SCOPE_FILES: [&str; 13] = [
     "crates/dist/src/worker.rs",
     "crates/dist/src/client.rs",
     "crates/dist/src/chaos.rs",
+    // Every lease's compute and every adjudicating re-execution runs
+    // through `execute_range`: a panic there kills a worker or the
+    // coordinator's handler on a range it was asked to verify.
+    "crates/dist/src/verify.rs",
     // Forest restores and page-level dirty tracking run inside every
     // worker's reset path: an index panic there burns the restart
     // budget on every mutant that reuses the poisoned node.

@@ -336,7 +336,7 @@ proptest! {
         use iris_fuzzer::campaign::{assemble_test_case, run_mutant_range_with};
         use iris_fuzzer::corpus::Corpus;
         use iris_fuzzer::parallel::ParallelCampaign;
-        use iris_fuzzer::target::IrisHvTarget;
+        use iris_fuzzer::target::Backend;
         use iris_fuzzer::testcase::{MutantRange, TestCase};
 
         let trace = partition_trace();
@@ -360,7 +360,7 @@ proptest! {
                 rng_seed,
             )
         };
-        let factory = IrisHvTarget::default();
+        let factory = Backend::Iris;
 
         // Unchunked reference: one worker, one chunk spanning the cell.
         let reference = ParallelCampaign::with_factory(1, factory)
